@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-diff bufdebug stream chaos trace hotspot contention check
+.PHONY: build test race vet bench bench-json bufdebug stream chaos trace hotspot contention perfbench check
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,6 @@ bench:
 # streaming bulk transfers serial and pipelined) with run metadata.
 bench-json:
 	$(GO) run ./cmd/darray-bench -json-out BENCH_micro.json
-
-# Zero-copy ablation: the micro suite pooled vs NoPool side by side.
-# Virtual ns/op must match; allocs/op is the pool's payoff.
-bench-diff:
-	$(GO) run ./cmd/darray-bench -bench-diff -words-per-node 8192 -max-nodes 3
 
 # Buffer-misuse detection: -tags bufdebug arms double-release and
 # use-after-release panics and quarantines released buffers, so any
@@ -72,4 +67,10 @@ trace:
 	$(GO) run ./cmd/darray-trace $(or $(TMPDIR),/tmp)/darray-trace-smoke.json
 	$(GO) test -run 'TestAcceptance' -count=1 ./internal/trace/
 
-check: build vet test race stream chaos bufdebug trace hotspot contention
+# The repo benchmark's own tests (perfbench is a separate module): they
+# prove its correctness checks are live (every workload runs; injected
+# corruption and stalls are caught; percentiles are computed right).
+perfbench:
+	cd perfbench && $(GO) test -count=1 ./...
+
+check: build vet test race stream chaos bufdebug trace hotspot contention perfbench

@@ -28,6 +28,7 @@ import (
 
 	"darray/internal/bench"
 	"darray/internal/chaos"
+	"darray/internal/cluster"
 	"darray/internal/fault"
 	"darray/internal/telemetry"
 	"darray/internal/trace"
@@ -57,16 +58,18 @@ func main() {
 		pipeDepth  = flag.Int("pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 serial); a ceiling when congestion control is on")
 		prefetch   = flag.Int("prefetch", 0, "chunks prefetched on a sequential miss (0 default, -1 disables prefetch and the detector)")
 		noCoalesce = flag.Bool("no-coalesce", false, "disable destination coalescing of coherence commands")
-		noPool     = flag.Bool("no-pool", false, "disable the zero-copy buffer pool (allocate-per-message ablation)")
 		noCC       = flag.Bool("no-cc", false, "disable congestion control: -pipeline and -tx-burst become fixed settings instead of ceilings")
 		ship       = flag.String("ship", "auto", "function-shipping mode: auto (per-chunk contention estimator), on, off")
-		benchDiff  = flag.Bool("bench-diff", false, "run the micro suite pooled and NoPool, print a ns/op and allocs/op comparison")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceOut   = flag.String("trace-out", "", "record causal spans and write a Perfetto-loadable Chrome trace to this file")
 		traceEvery = flag.Int("trace-sample", 1, "with -trace-out, sample every Nth public op as a trace root")
 	)
 	flag.Parse()
+	if err := cluster.CheckShip(*ship); err != nil {
+		fmt.Fprintf(os.Stderr, "darray-bench: -ship: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
@@ -118,7 +121,6 @@ func main() {
 	p.PipelineDepth = *pipeDepth
 	p.PrefetchAhead = *prefetch
 	p.DisableCoalesce = *noCoalesce
-	p.NoPool = *noPool
 	p.NoCC = *noCC
 	p.Ship = *ship
 	if *metricAddr != "" {
@@ -184,10 +186,6 @@ func main() {
 		run(e)
 	case *jsonOut != "":
 		// -json-out alone runs just the micro suite (below).
-	case *benchDiff:
-		start := time.Now()
-		bench.MicroDiff(os.Stdout, p)
-		fmt.Printf("(bench-diff completed in %v wall time)\n", time.Since(start).Round(time.Millisecond))
 	default:
 		flag.Usage()
 		os.Exit(2)

@@ -44,13 +44,16 @@ func main() {
 		pipeDepth  = flag.Int("pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 serial); a ceiling when congestion control is on")
 		prefetch   = flag.Int("prefetch", 0, "chunks prefetched on a sequential miss (0 default, -1 disables prefetch and the detector)")
 		noCoalesce = flag.Bool("no-coalesce", false, "disable destination coalescing of coherence commands")
-		noPool     = flag.Bool("no-pool", false, "disable the zero-copy buffer pool (allocate-per-message ablation)")
 		noCC       = flag.Bool("no-cc", false, "disable congestion control: -pipeline and -tx-burst become fixed settings instead of ceilings")
 		ship       = flag.String("ship", "auto", "function-shipping mode: auto (per-chunk contention estimator), on, off")
 		traceOut   = flag.String("trace-out", "", "record causal spans and write a Perfetto-loadable Chrome trace to this file (enables the virtual-time model)")
 		traceEvery = flag.Int("trace-sample", 1, "with -trace-out, sample every Nth public op as a trace root")
 	)
 	flag.Parse()
+	if err := cluster.CheckShip(*ship); err != nil {
+		fmt.Fprintf(os.Stderr, "darray-kv: -ship: %v\n", err)
+		os.Exit(2)
+	}
 
 	clcfg := cluster.Config{
 		Nodes:           *nodes,
@@ -60,7 +63,6 @@ func main() {
 		PipelineDepth:   *pipeDepth,
 		PrefetchAhead:   *prefetch,
 		DisableCoalesce: *noCoalesce,
-		NoPool:          *noPool,
 		NoCC:            *noCC,
 		Ship:            *ship,
 	}

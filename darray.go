@@ -65,20 +65,11 @@ var (
 	OpMaxF64 = core.OpMaxF64
 )
 
-// WithPrefetch returns Options pinning one array's bulk-transfer
-// pipeline to k outstanding chunk fetches (k <= 1 forces the serial
-// path); combine with the cluster-wide Config knobs (TxBurst,
-// PipelineDepth, PrefetchAhead, DisableCoalesce) to tune or ablate the
-// streaming optimizations.
-var WithPrefetch = core.WithPrefetch
-
-// WithShipping returns Options forcing one array's function-shipping
-// mode: "auto" (per-chunk contention estimator), "on" (every remote
-// Apply ships to the home), or "off" (cached combining only, the
-// pre-shipping protocol). It overrides the cluster-wide Config.Ship.
-var WithShipping = core.WithShipping
-
-// NewCluster builds and starts a simulated cluster.
+// NewCluster builds and starts a simulated cluster. The data-path knobs
+// live in Config and apply to every array on the cluster: TxBurst,
+// PipelineDepth, PrefetchAhead and DisableCoalesce tune or ablate the
+// streaming optimizations, NoCC pins them to fixed settings, and Ship
+// selects function shipping ("auto", "on" or "off").
 func NewCluster(cfg Config) *Cluster { return cluster.New(cfg) }
 
 // New collectively creates a distributed array of n 8-byte elements

@@ -62,7 +62,7 @@ type slabRec struct {
 // the retransmission bill.
 func runContention(p Params, streams int, noCC, faulted bool) contentionResult {
 	const nodes = 2
-	const chunkWords = 512  // cluster default chunk geometry
+	const chunkWords = 512   // cluster default chunk geometry
 	sWords := p.WordsPerNode // per-stream volume, constant across N
 	words := int64(nodes) * int64(streams) * sWords
 	var plan *fault.Plan
@@ -80,7 +80,6 @@ func runContention(p Params, streams int, noCC, faulted bool) contentionResult {
 		PipelineDepth:   p.PipelineDepth,
 		PrefetchAhead:   p.PrefetchAhead,
 		DisableCoalesce: p.DisableCoalesce,
-		NoPool:          p.NoPool,
 		NoCC:            noCC,
 	})
 	defer c.Close()

@@ -38,13 +38,13 @@ type MicroResult struct {
 
 // Knobs records the effective knob set behind one measurement (schema
 // v3), so a result line is interpretable without reconstructing the
-// command line that produced it.
+// command line that produced it. Schema v5 dropped no_pool: the pooled
+// zero-copy path is the only data path.
 type Knobs struct {
 	TxBurst  int     `json:"tx_burst"`
 	Pipeline int     `json:"pipeline"`
 	Prefetch int     `json:"prefetch"`
 	Coalesce bool    `json:"coalesce"`
-	NoPool   bool    `json:"no_pool"`
 	Ship     string  `json:"ship"`
 	Nodes    int     `json:"nodes"`
 	Threads  int     `json:"threads"`
@@ -64,7 +64,6 @@ func (p Params) knobs(nodes, threads int) *Knobs {
 		Pipeline: p.PipelineDepth,
 		Prefetch: p.PrefetchAhead,
 		Coalesce: !p.DisableCoalesce,
-		NoPool:   p.NoPool,
 		Ship:     ship,
 		Nodes:    nodes,
 		Threads:  threads,
@@ -82,7 +81,6 @@ type MicroReport struct {
 	NumCPU       int           `json:"num_cpu"`
 	WordsPerNode int64         `json:"words_per_node"`
 	Nodes        int           `json:"nodes"`
-	NoPool       bool          `json:"no_pool,omitempty"`
 	Results      []MicroResult `json:"results"`
 }
 
@@ -108,7 +106,7 @@ func measureAllocs(fn func() int64) (allocsPerOp, bytesPerOp float64) {
 func MicroJSON(p Params) MicroReport {
 	nodes := min(3, p.MaxNodes)
 	rep := MicroReport{
-		Schema:       "darray-bench-micro/v4",
+		Schema:       "darray-bench-micro/v5",
 		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:    runtime.Version(),
 		GOOS:         runtime.GOOS,
@@ -116,7 +114,6 @@ func MicroJSON(p Params) MicroReport {
 		NumCPU:       runtime.NumCPU(),
 		WordsPerNode: p.WordsPerNode,
 		Nodes:        nodes,
-		NoPool:       p.NoPool,
 	}
 	addSeq := func(name, system, op string, n int) {
 		var r seqResult

@@ -50,10 +50,6 @@ type Params struct {
 	PrefetchAhead   int
 	DisableCoalesce bool
 
-	// NoPool disables the zero-copy buffer pool — the allocate-per-message
-	// ablation behind `make bench-diff`.
-	NoPool bool
-
 	// NoCC disables congestion-controlled streaming, pinning the bulk
 	// pipeline and Tx doorbells to the static knobs above — the
 	// fixed-window ablation behind the contention experiment.
@@ -108,7 +104,6 @@ func (p Params) cluster(nodes int) *cluster.Cluster {
 		PipelineDepth:   p.PipelineDepth,
 		PrefetchAhead:   p.PrefetchAhead,
 		DisableCoalesce: p.DisableCoalesce,
-		NoPool:          p.NoPool,
 		NoCC:            p.NoCC,
 		Ship:            p.Ship,
 		Tracer:          p.Tracer,

@@ -75,7 +75,6 @@ func runStream(p Params, nodes int, sc streamConfig) streamResult {
 		TxBurst:       sc.txBurst,
 		PrefetchAhead: sc.prefetch,
 		PipelineDepth: sc.pipeline,
-		NoPool:        p.NoPool,
 		NoCC:          p.NoCC,
 	}
 	cfg.DisableCoalesce = !sc.coalesce

@@ -13,8 +13,8 @@
 // (or adopts the buffer outright, taking over the reference). Any extra
 // holder — e.g. the wire duplicating a delivery — must Retain before
 // the original reference can be released. All Ref methods are safe on a
-// nil receiver, so unpooled (NoPool) configurations simply carry nil
-// refs through the same code paths.
+// nil receiver, so payload-free messages simply carry a nil ref through
+// the same code paths.
 //
 // Building with -tags bufdebug arms misuse detection: double-release
 // and use-after-release panic with the releasing call site, and

@@ -47,10 +47,6 @@ type Config struct {
 	ChunkWords  int
 	CacheChunks int
 
-	// NoPool disables the zero-copy buffer pool (the allocate-per-message
-	// ablation). Results must be bit-identical either way.
-	NoPool bool
-
 	// Ship selects the function-shipping mode ("" = "auto", "on",
 	// "off"). Shipped ops are commutative, so results must be
 	// bit-identical in every mode.
@@ -209,7 +205,6 @@ func runOnce(w Workload, cfg Config, plan *fault.Plan) (uint64, error) {
 		ChunkWords:     cfg.ChunkWords,
 		CacheChunks:    cfg.CacheChunks,
 		RuntimeThreads: 2,
-		NoPool:         cfg.NoPool,
 		Ship:           cfg.Ship,
 		NoCC:           cfg.NoCC,
 	})
@@ -224,10 +219,8 @@ func runOnce(w Workload, cfg Config, plan *fault.Plan) (uint64, error) {
 	if verr != nil {
 		return 0, verr
 	}
-	if pool != nil {
-		if n := pool.Outstanding(); n != 0 {
-			return 0, fmt.Errorf("buffer leak: %d pool buffers still referenced after close", n)
-		}
+	if n := pool.Outstanding(); n != 0 {
+		return 0, fmt.Errorf("buffer leak: %d pool buffers still referenced after close", n)
 	}
 	if err := waitDrained(before); err != nil {
 		return 0, err

@@ -65,34 +65,6 @@ func TestChaosKVS(t *testing.T) {
 	runChaos(t, chaos.KVS(256, 150), chaos.Config{Seed: 42, Threads: 2})
 }
 
-// TestChaosNoPoolAblation proves the zero-copy buffer pool is purely a
-// memory-traffic optimisation: every workload must fingerprint
-// bit-identically with the pool on and off (chaos.Run additionally
-// leak-checks the pooled runs — zero outstanding references after
-// close).
-func TestChaosNoPoolAblation(t *testing.T) {
-	workloads := []struct {
-		w   chaos.Workload
-		cfg chaos.Config
-	}{
-		{chaos.Microbench(2048, 300), chaos.Config{Seed: 42, Threads: 2}},
-		{chaos.BulkRange(4096), chaos.Config{Seed: 42, Threads: 2}},
-		{chaos.PageRank(8, 3), chaos.Config{Seed: 42, ChunkWords: 32}},
-		{chaos.ConnectedComponents(8), chaos.Config{Seed: 42, ChunkWords: 32}},
-		{chaos.KVS(256, 150), chaos.Config{Seed: 42, Threads: 2}},
-	}
-	for _, tc := range workloads {
-		pooled := runChaos(t, tc.w, tc.cfg)
-		ablated := tc.cfg
-		ablated.NoPool = true
-		noPool := runChaos(t, tc.w, ablated)
-		if pooled.Fingerprint != noPool.Fingerprint {
-			t.Errorf("%s: pooling changed the result: pooled %016x, NoPool %016x",
-				tc.w.Name, pooled.Fingerprint, noPool.Fingerprint)
-		}
-	}
-}
-
 // TestChaosHotKeyShipModes proves function shipping is purely an
 // execution-mode choice: the hot-key Operate/Apply workload — the
 // traffic the adaptive estimator flips — must fingerprint

@@ -73,14 +73,6 @@ type Config struct {
 	// bit-for-bit).
 	Ship string
 
-	// NoPool disables the zero-copy buffer pool (internal/buf) and every
-	// recycling discipline built on it — payloads, protocol messages,
-	// queue link nodes, waiters, completion tokens — reproducing the
-	// allocate-per-message behaviour bit-for-bit as the ablation
-	// baseline. Virtual-time results are identical either way; only real
-	// allocator traffic differs.
-	NoPool bool
-
 	// Telemetry optionally shares one metrics registry across clusters
 	// (the benchmark harness builds one cluster per data point); nil
 	// gives this cluster a private registry.
@@ -136,13 +128,23 @@ func (c *Config) fill() {
 			c.PipelineDepth = 8
 		}
 	}
-	switch c.Ship {
-	case "":
-		c.Ship = "auto"
-	case "auto", "on", "off":
-	default:
-		panic("cluster: Ship must be auto, on, or off: " + c.Ship)
+	if err := CheckShip(c.Ship); err != nil {
+		panic("cluster: Config.Ship: " + err.Error())
 	}
+	if c.Ship == "" {
+		c.Ship = "auto"
+	}
+}
+
+// CheckShip reports whether s is a valid Config.Ship value ("" selects
+// the default, "auto"). Command-line front ends call it to reject a bad
+// -ship flag before building a cluster.
+func CheckShip(s string) error {
+	switch s {
+	case "", "auto", "on", "off":
+		return nil
+	}
+	return fmt.Errorf("ship mode must be auto, on, or off, not %q", s)
 }
 
 // Cluster is a set of simulated nodes over one fabric.
@@ -150,7 +152,7 @@ type Cluster struct {
 	cfg   Config
 	fab   *fabric.Fabric
 	nodes []*Node
-	pool  *buf.Pool // nil when cfg.NoPool
+	pool  *buf.Pool
 
 	bar barrier
 
@@ -182,13 +184,11 @@ func New(cfg Config) *Cluster {
 	cfg.fill()
 	c := &Cluster{
 		cfg:     cfg,
-		fab:     fabric.New(fabric.Config{Nodes: cfg.Nodes, Model: cfg.Model, Faults: cfg.Faults, Pooled: !cfg.NoPool}),
+		fab:     fabric.New(fabric.Config{Nodes: cfg.Nodes, Model: cfg.Model, Faults: cfg.Faults}),
+		pool:    buf.NewPool(),
 		collSeq: make(map[uint64]*collSlot),
 		tel:     cfg.Telemetry,
 		failCh:  make(chan struct{}),
-	}
-	if !cfg.NoPool {
-		c.pool = buf.NewPool()
 	}
 	if c.tel == nil {
 		c.tel = telemetry.New()
@@ -226,9 +226,8 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Fabric exposes the underlying fabric (for stats and baselines).
 func (c *Cluster) Fabric() *fabric.Fabric { return c.fab }
 
-// BufPool returns the cluster's shared payload buffer pool, or nil when
-// the NoPool ablation is active. Systems built on the cluster lease
-// their outbound payloads here.
+// BufPool returns the cluster's shared payload buffer pool. Systems
+// built on the cluster lease their outbound payloads here.
 func (c *Cluster) BufPool() *buf.Pool { return c.pool }
 
 // Detacher lets per-runtime attachments (Runtime.Attach values) release
@@ -283,13 +282,11 @@ func (c *Cluster) Close() {
 		for _, n := range c.nodes {
 			n.stopAll()
 		}
-		if c.pool != nil {
-			// All goroutines are stopped: return in-flight payloads and
-			// cached lines to the pool so Outstanding()==0 after a clean
-			// shutdown (the chaos leak check relies on this).
-			for _, n := range c.nodes {
-				n.drainResidual()
-			}
+		// All goroutines are stopped: return in-flight payloads and
+		// cached lines to the pool so Outstanding()==0 after a clean
+		// shutdown (the chaos leak check relies on this).
+		for _, n := range c.nodes {
+			n.drainResidual()
 		}
 		c.telMu.Lock()
 		handles := c.telHandles
@@ -544,7 +541,7 @@ type Ctx struct {
 
 	resp chan Resp // reusable completion channel for slow-path waits
 	err  error     // first completion error observed by this thread
-	toks []*Token  // recycled completion tokens (pooled clusters only)
+	toks []*Token  // recycled completion tokens
 
 	// ccs[dst] is this thread's congestion controller toward node dst
 	// (nil slice under Config.NoCC). Built eagerly at NewCtx so runtime
@@ -660,11 +657,8 @@ func (ctx *Ctx) AcquireToken() *Token {
 // reuse. Only tokens whose Wait returned a real completion may be
 // recycled: after a cluster-failure Wait a runtime may still deliver
 // into the token's channel, and that stale completion must not be
-// mistaken for a future request's. No-op on NoPool clusters.
+// mistaken for a future request's.
 func (ctx *Ctx) RecycleToken(t *Token) {
-	if ctx.Node.c.pool == nil {
-		return
-	}
 	ctx.toks = append(ctx.toks, t)
 }
 

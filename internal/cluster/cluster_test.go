@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"darray/internal/fabric"
 	"darray/internal/vtime"
@@ -32,6 +33,23 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.LowWatermark != 0.30 || cfg.HighWatermark != 0.50 {
 		t.Fatalf("watermark defaults wrong: %+v", cfg)
 	}
+}
+
+func TestCheckShip(t *testing.T) {
+	for _, s := range []string{"", "auto", "on", "off"} {
+		if err := CheckShip(s); err != nil {
+			t.Errorf("CheckShip(%q) = %v, want nil", s, err)
+		}
+	}
+	if err := CheckShip("bogus"); err == nil {
+		t.Error(`CheckShip("bogus") = nil, want an error`)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted an invalid Config.Ship")
+		}
+	}()
+	New(Config{Nodes: 1, Ship: "bogus"})
 }
 
 func TestPrefetchDisable(t *testing.T) {
@@ -180,6 +198,42 @@ func TestRuntimeStall(t *testing.T) {
 	}
 	gate.Store(true)
 	<-done
+}
+
+// TestRuntimeStallChained checks that a continuation registered while
+// the runtime is retrying stalled continuations is kept: a finished
+// transition whose follow-up must itself wait (the coherence protocol's
+// evict-then-serve-deferred chains) must not be dropped, or the chunk
+// stays blocked forever.
+func TestRuntimeStallChained(t *testing.T) {
+	c := New(Config{Nodes: 1})
+	defer c.Close()
+	rt := c.Node(0).Runtime(0)
+	var gate atomic.Bool
+	done := make(chan struct{})
+	second := func(*Runtime) bool {
+		if !gate.Load() {
+			return false
+		}
+		close(done)
+		return true
+	}
+	rt.Submit(func(rt *Runtime) {
+		rt.Stall(func(rt *Runtime) bool {
+			rt.Stall(second) // chained while the stall list is being retried
+			return true
+		})
+		rt.Stall(func(*Runtime) bool { return gate.Load() })
+	})
+	ok := make(chan struct{})
+	rt.Submit(func(*Runtime) { close(ok) })
+	<-ok
+	gate.Store(true)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("continuation registered from a completing continuation was dropped")
+	}
 }
 
 func TestSendRouting(t *testing.T) {

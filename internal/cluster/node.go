@@ -52,15 +52,11 @@ type Route struct {
 }
 
 func newNode(c *Cluster, id int) *Node {
-	newTxq := queue.NewMPSC[*fabric.Message]
-	if c.pool != nil {
-		newTxq = queue.NewMPSCPooled[*fabric.Message]
-	}
 	n := &Node{
 		id:     id,
 		c:      c,
 		ep:     c.fab.Endpoint(id),
-		txq:    newTxq(),
+		txq:    queue.NewMPSC[*fabric.Message](),
 		stop:   make(chan struct{}),
 		routes: make(map[uint32]Route),
 	}
@@ -217,10 +213,8 @@ func (n *Node) txLoop() {
 				// failed: every blocked WaitResp unblocks with this error.
 				// The message was not delivered; its payload reference is
 				// ours to release.
-				if n.c.pool != nil {
-					m.Payload.Release()
-					fabric.FreeMessage(m)
-				}
+				m.Payload.Release()
+				fabric.FreeMessage(m)
 				n.c.fail(fmt.Errorf("node %d tx: %w", n.id, err))
 			}
 		}
@@ -244,7 +238,7 @@ func (n *Node) coalesce(burst []*fabric.Message) []*fabric.Message {
 			m.Kind == lead.Kind && len(m.Data) == 0 && !m.Coal &&
 			lr.Coalescible != nil && lr.Coalescible(m.Kind) {
 			lead.Coal = true
-			if n.c.pool != nil && lead.Payload == nil {
+			if lead.Payload == nil {
 				// Lease the absorbed-chunk index list at full burst
 				// capacity so the appends below stay inside the buffer.
 				lead.Payload = n.c.pool.Get(n.c.cfg.TxBurst)
@@ -263,9 +257,7 @@ func (n *Node) coalesce(burst []*fabric.Message) []*fabric.Message {
 				lead.SendVT = m.SendVT
 			}
 			n.coalesced.Add(1)
-			if n.c.pool != nil {
-				fabric.FreeMessage(m) // absorbed; only its chunk index survives
-			}
+			fabric.FreeMessage(m) // absorbed; only its chunk index survives
 			continue
 		}
 		lead = m
@@ -304,7 +296,7 @@ func (n *Node) rxLoop() {
 			// Never mutate m itself: the sender's endpoint may still hold
 			// the same pointer for retransmission. Deliver copies, built
 			// from a template taken before the first delivery — once a
-			// copy is delivered a pooled runtime may free it concurrently.
+			// copy is delivered the runtime may free it concurrently.
 			tpl := *m
 			tpl.Coal, tpl.Data, tpl.Payload, tpl.CoalTC = false, nil, nil, nil
 			// Only the lead command owns the message's own trace context;
@@ -320,29 +312,18 @@ func (n *Node) rxLoop() {
 					cm.QueuedVT = int64(tcs[3*i+2])
 				}
 			}
-			if n.c.pool != nil {
-				lead := fabric.NewMessage()
-				*lead = tpl
-				n.deliver(r, lead)
-				for i, ci := range m.Data {
-					cm := fabric.NewMessage()
-					*cm = ctpl
-					cm.Chunk = int64(ci)
-					restore(cm, i)
-					n.deliver(r, cm)
-				}
-				m.Payload.Release() // the absorbed-chunk index list
-				fabric.FreeMessage(m)
-			} else {
-				lead := tpl
-				n.deliver(r, &lead)
-				for i, ci := range m.Data {
-					cm := ctpl
-					cm.Chunk = int64(ci)
-					restore(&cm, i)
-					n.deliver(r, &cm)
-				}
+			lead := fabric.NewMessage()
+			*lead = tpl
+			n.deliver(r, lead)
+			for i, ci := range m.Data {
+				cm := fabric.NewMessage()
+				*cm = ctpl
+				cm.Chunk = int64(ci)
+				restore(cm, i)
+				n.deliver(r, cm)
 			}
+			m.Payload.Release() // the absorbed-chunk index list
+			fabric.FreeMessage(m)
 			continue
 		}
 		n.deliver(r, m)
@@ -373,6 +354,7 @@ type Runtime struct {
 	rpcq   *queue.MPSC[rpcItem]
 
 	stalled []func(rt *Runtime) bool // retried until they report done
+	retry   []func(rt *Runtime) bool // spare backing for the retry pass
 
 	// Res serializes this runtime's virtual service time.
 	Res vtime.Resource
@@ -388,17 +370,11 @@ type Runtime struct {
 }
 
 func newRuntime(n *Node, idx int) *Runtime {
-	newLocalq := queue.NewMPSC[func(rt *Runtime)]
-	newRpcq := queue.NewMPSC[rpcItem]
-	if n.c.pool != nil {
-		newLocalq = queue.NewMPSCPooled[func(rt *Runtime)]
-		newRpcq = queue.NewMPSCPooled[rpcItem]
-	}
 	return &Runtime{
 		node:   n,
 		idx:    idx,
-		localq: newLocalq(),
-		rpcq:   newRpcq(),
+		localq: queue.NewMPSC[func(rt *Runtime)](),
+		rpcq:   queue.NewMPSC[rpcItem](),
 		Attach: make(map[uint32]any),
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
@@ -460,15 +436,20 @@ func (rt *Runtime) loop() {
 			progress = true
 		}
 		if len(rt.stalled) > 0 {
-			kept := rt.stalled[:0]
-			for _, fn := range rt.stalled {
+			// Swap in the spare list before retrying: a continuation that
+			// completes may Stall a follow-up, which must land in the live
+			// list rather than in the one being rewritten.
+			pending := rt.stalled
+			rt.stalled = rt.retry[:0]
+			for i, fn := range pending {
+				pending[i] = nil
 				if !fn(rt) {
-					kept = append(kept, fn)
+					rt.stalled = append(rt.stalled, fn)
 				} else {
 					progress = true
 				}
 			}
-			rt.stalled = kept
+			rt.retry = pending[:0]
 		}
 		if progress {
 			continue

@@ -28,9 +28,9 @@ func skipIfNotMeasurable(t *testing.T) {
 // slow path (CacheChunks is far below the remote partition size, so
 // each round re-evicts and re-fetches). It reports heap allocations per
 // slow-path miss, measured around the steady-state phase only.
-func allocWorkload(t *testing.T, noPool bool, byRange bool) float64 {
+func allocWorkload(t *testing.T, byRange bool) float64 {
 	t.Helper()
-	cfg := cluster.Config{Nodes: 2, ChunkWords: 64, CacheChunks: 8, NoPool: noPool}
+	cfg := cluster.Config{Nodes: 2, ChunkWords: 64, CacheChunks: 8}
 	c := cluster.New(cfg)
 	defer c.Close()
 
@@ -78,29 +78,35 @@ func allocWorkload(t *testing.T, noPool bool, byRange bool) float64 {
 	return allocsPerMiss
 }
 
-// TestPooledAllocsGet asserts the pooled data path allocates at most
-// half as much per cross-node Get miss as the NoPool ablation — the
-// PR's headline regression gate.
+// Allocation ceilings per cross-node slow-path miss. The zero-copy data
+// path measures about 5.3 (Get) and 11 (GetRange) on go1.24/amd64; an
+// allocate-per-message path measured about 18.5 and 33, so the ceilings
+// catch any return of per-message allocation with headroom for
+// runtime noise.
+const (
+	maxAllocsPerGetMiss   = 9.0
+	maxAllocsPerRangeMiss = 16.0
+)
+
+// TestPooledAllocsGet is the zero-copy path's regression gate: a
+// cross-node Get miss must stay within maxAllocsPerGetMiss heap
+// allocations.
 func TestPooledAllocsGet(t *testing.T) {
 	skipIfNotMeasurable(t)
-	pooled := allocWorkload(t, false, false)
-	noPool := allocWorkload(t, true, false)
-	t.Logf("Get: pooled %.2f allocs/miss, NoPool %.2f allocs/miss", pooled, noPool)
-	if pooled > 0.5*noPool {
-		t.Errorf("pooled Get path allocates %.2f/miss, want <= 50%% of NoPool (%.2f/miss)",
-			pooled, noPool)
+	got := allocWorkload(t, false)
+	t.Logf("Get: %.2f allocs/miss (ceiling %.1f)", got, maxAllocsPerGetMiss)
+	if got > maxAllocsPerGetMiss {
+		t.Errorf("Get path allocates %.2f/miss, want <= %.1f", got, maxAllocsPerGetMiss)
 	}
 }
 
-// TestPooledAllocsGetRange asserts the same bound on the pipelined bulk
+// TestPooledAllocsGetRange applies the same gate to the pipelined bulk
 // path, which additionally exercises token and chunk-request recycling.
 func TestPooledAllocsGetRange(t *testing.T) {
 	skipIfNotMeasurable(t)
-	pooled := allocWorkload(t, false, true)
-	noPool := allocWorkload(t, true, true)
-	t.Logf("GetRange: pooled %.2f allocs/miss, NoPool %.2f allocs/miss", pooled, noPool)
-	if pooled > 0.5*noPool {
-		t.Errorf("pooled GetRange path allocates %.2f/miss, want <= 50%% of NoPool (%.2f/miss)",
-			pooled, noPool)
+	got := allocWorkload(t, true)
+	t.Logf("GetRange: %.2f allocs/miss (ceiling %.1f)", got, maxAllocsPerRangeMiss)
+	if got > maxAllocsPerRangeMiss {
+		t.Errorf("GetRange path allocates %.2f/miss, want <= %.1f", got, maxAllocsPerRangeMiss)
 	}
 }

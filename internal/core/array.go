@@ -40,11 +40,8 @@ type Array struct {
 	// gates the fast-path counters below (see telOn).
 	reg *telemetry.Registry
 
-	// pool is the cluster's payload buffer pool; pooled mirrors
-	// pool != nil for branch-friendly checks (see zerocopy.go). Nil/false
-	// under the Config.NoPool ablation.
-	pool   *buf.Pool
-	pooled bool
+	// pool is the cluster's payload buffer pool (see zerocopy.go).
+	pool *buf.Pool
 
 	// Protocol counters (updated by runtime goroutines with atomics).
 	Metrics Metrics
@@ -55,7 +52,7 @@ type Array struct {
 	pipeline int
 	// ccOff disables adaptive windows for this array: bulk ranges issue
 	// at the fixed pipeline depth (the pre-CC behaviour, bit-for-bit).
-	// Resolved from Options.NoCC or the cluster-wide Config.NoCC.
+	// Set by the cluster-wide Config.NoCC.
 	ccOff bool
 	// ccCwnd/ccSrtt sample the adaptive window (chunks) and smoothed RTT
 	// (virtual ns) at each congestion-controlled completion, telemetry-
@@ -133,8 +130,8 @@ type Metrics struct {
 	ShipFlips      atomic.Int64
 	ShipBytesSaved atomic.Int64
 
-	// Zero-copy data-path accounting (all zero under NoPool; see
-	// zerocopy.go for the lease/adopt/donate vocabulary).
+	// Zero-copy data-path accounting (see zerocopy.go for the
+	// lease/adopt/donate vocabulary).
 	Leases        atomic.Int64 // payload buffers leased from the pool
 	Adopts        atomic.Int64 // inbound grant buffers adopted as line backing
 	Donates       atomic.Int64 // line buffers donated as outbound payloads
@@ -148,55 +145,13 @@ type Options struct {
 	// len == nodes; offsets must be non-decreasing, start at 0, and are
 	// rounded up to chunk boundaries.
 	PartitionOffset []int64
-
-	// Pipeline overrides the cluster's PipelineDepth for this array: the
-	// number of outstanding chunk fetches a bulk range keeps in flight.
-	// 0 uses the cluster default; 1 or -1 forces the serial path.
-	Pipeline int
-
-	// NoSeqDetect disables the sequential-access detector (speculative
-	// next-chunk prefetch from the Get/PinRead fast path) for this
-	// array. The detector is also off cluster-wide when PrefetchAhead
-	// is -1 (the prefetch-free ablation configuration).
-	NoSeqDetect bool
-
-	// Ship overrides the cluster's Config.Ship for this array: "auto",
-	// "on", or "off" ("" keeps the cluster default). NoShip forces
-	// cached-only Operate ("off") regardless of either setting.
-	Ship   string
-	NoShip bool
-
-	// NoCC disables congestion-controlled streaming for this array: bulk
-	// pipelines run at the fixed Pipeline depth and prefetch is capped
-	// only by demand credit, reproducing the static-knob schedule
-	// bit-for-bit. Also implied by the cluster-wide Config.NoCC.
-	NoCC bool
-}
-
-// WithPrefetch returns Options pinning the bulk-transfer pipeline depth
-// to k outstanding chunk fetches (k <= 1 forces the serial path).
-func WithPrefetch(k int) Options {
-	if k < 1 {
-		k = -1
-	}
-	return Options{Pipeline: k}
-}
-
-// WithShipping returns Options pinning this array's function-shipping
-// mode: "auto" (the per-chunk contention estimator decides), "on"
-// (every remote Apply ships), or "off" (cached combining only).
-func WithShipping(mode string) Options {
-	shipModeOf(mode) // validate eagerly
-	if mode == "" {
-		mode = "auto"
-	}
-	return Options{Ship: mode}
 }
 
 // New collectively creates a distributed array of n 8-byte elements,
 // evenly partitioned across the cluster's nodes by default. Every node
-// must call New in the same program order (SPMD). Multiple Options
-// values are merged field-wise (later non-zero fields win).
+// must call New in the same program order (SPMD). The streaming,
+// prefetch, shipping and congestion-control settings come from the
+// cluster's Config. With several Options the last PartitionOffset wins.
 func New(node *cluster.Node, n int64, opts ...Options) *Array {
 	if n <= 0 {
 		panic("core: array length must be positive")
@@ -205,21 +160,6 @@ func New(node *cluster.Node, n int64, opts ...Options) *Array {
 	for _, o := range opts {
 		if o.PartitionOffset != nil {
 			opt.PartitionOffset = o.PartitionOffset
-		}
-		if o.Pipeline != 0 {
-			opt.Pipeline = o.Pipeline
-		}
-		if o.NoSeqDetect {
-			opt.NoSeqDetect = true
-		}
-		if o.Ship != "" {
-			opt.Ship = o.Ship
-		}
-		if o.NoShip {
-			opt.NoShip = true
-		}
-		if o.NoCC {
-			opt.NoCC = true
 		}
 	}
 	c := node.Cluster()
@@ -232,7 +172,8 @@ func New(node *cluster.Node, n int64, opts ...Options) *Array {
 }
 
 func buildShared(c *cluster.Cluster, n int64, opt Options) *shared {
-	cw := int64(c.Config().ChunkWords)
+	cfg := c.Config()
+	cw := int64(cfg.ChunkWords)
 	nChunks := (n + cw - 1) / cw
 	nodes := int64(c.Nodes())
 	sh := &shared{
@@ -276,39 +217,22 @@ func buildShared(c *cluster.Cluster, n int64, opt Options) *shared {
 	}
 	sh.starts[nodes] = nChunks
 
-	depth := opt.Pipeline
-	if depth == 0 {
-		depth = c.Config().PipelineDepth
-	}
-	if depth < 1 {
-		depth = 1
-	}
 	// The detector samples Get at mid-chunk: far enough in to confirm a
 	// streaming pattern, early enough that the speculative fill beats the
-	// scan to the next chunk boundary.
+	// scan to the next chunk boundary. PrefetchAhead -1 (filled to 0)
+	// turns it off.
 	seqTrig := cw / 2
-	if opt.NoSeqDetect || c.Config().PrefetchAhead == 0 {
+	if cfg.PrefetchAhead == 0 {
 		seqTrig = -1
 	}
-
-	shipCfg := opt.Ship
-	if shipCfg == "" {
-		shipCfg = c.Config().Ship
-	}
-	ship := shipModeOf(shipCfg)
-	if opt.NoShip {
-		ship = shipOff
-	}
-
-	ccOff := opt.NoCC || c.Config().NoCC
+	ship := shipModeOf(cfg.Ship)
 
 	sh.insts = make([]*Array, nodes)
 	for v := int64(0); v < nodes; v++ {
 		node := c.Node(int(v))
 		a := &Array{sh: sh, node: node, model: c.Model(), reg: c.Telemetry(),
-			pipeline: depth, seqTrig: seqTrig, shipMode: ship, ccOff: ccOff,
-			pool: c.BufPool(), pooled: c.BufPool() != nil,
-			trc: c.Tracer()}
+			pipeline: cfg.PipelineDepth, seqTrig: seqTrig, shipMode: ship, ccOff: cfg.NoCC,
+			pool: c.BufPool(), trc: c.Tracer()}
 		lo, hi := sh.starts[v]*cw, sh.starts[v+1]*cw
 		if hi > n {
 			hi = n

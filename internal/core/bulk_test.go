@@ -144,38 +144,45 @@ func TestRangeRoundTripQuick(t *testing.T) {
 
 // TestBulkRangeManyChunks streams SetRange/GetRange through the
 // pipelined bulk path across 24 chunks and two node boundaries, with a
-// serial (pipeline and detector off) array as a control: both spellings
-// must observe identical data.
+// serial control (a second cluster with the pipeline, prefetch and
+// sequential detector off): both spellings must observe identical data.
 func TestBulkRangeManyChunks(t *testing.T) {
-	c := tc(t, 3, func(cfg *cluster.Config) { cfg.CacheChunks = 32 })
-	c.Run(func(n *cluster.Node) {
-		const words = 3 * 64 * 8 // 8 chunks per node
-		a := New(n, words)
-		s := New(n, words, Options{Pipeline: -1, NoSeqDetect: true})
-		ctx := n.NewCtx(0)
-		c.Barrier(ctx)
-		if n.ID() == 0 {
-			src := make([]uint64, words)
-			for i := range src {
-				src[i] = uint64(7*i + 1)
+	const nodes, words = 3, 3 * 64 * 8 // 8 chunks per node
+	sweep := func(c *cluster.Cluster) [][]uint64 {
+		got := make([][]uint64, nodes)
+		c.Run(func(n *cluster.Node) {
+			a := New(n, words)
+			ctx := n.NewCtx(0)
+			c.Barrier(ctx)
+			if n.ID() == 0 {
+				src := make([]uint64, words)
+				for i := range src {
+					src[i] = uint64(7*i + 1)
+				}
+				a.SetRange(ctx, 0, src) // one call spanning every chunk
 			}
-			a.SetRange(ctx, 0, src) // one call spanning every chunk
-			s.SetRange(ctx, 0, src)
-		}
-		c.Barrier(ctx)
-		got := make([]uint64, words)
-		a.GetRange(ctx, 0, got)
-		ser := make([]uint64, words)
-		s.GetRange(ctx, 0, ser)
-		for i := range got {
-			if got[i] != uint64(7*i+1) || ser[i] != got[i] {
+			c.Barrier(ctx)
+			got[n.ID()] = make([]uint64, words)
+			a.GetRange(ctx, 0, got[n.ID()])
+			c.Barrier(ctx)
+		})
+		return got
+	}
+	piped := sweep(tc(t, nodes, func(cfg *cluster.Config) { cfg.CacheChunks = 32 }))
+	serial := sweep(tc(t, nodes, func(cfg *cluster.Config) {
+		cfg.CacheChunks = 32
+		cfg.PipelineDepth = -1
+		cfg.PrefetchAhead = -1
+	}))
+	for id := range piped {
+		for i, v := range piped[id] {
+			if v != uint64(7*i+1) || serial[id][i] != v {
 				t.Errorf("node %d: [%d] pipelined=%d serial=%d, want %d",
-					n.ID(), i, got[i], ser[i], 7*i+1)
-				return
+					id, i, v, serial[id][i], 7*i+1)
+				break
 			}
 		}
-		c.Barrier(ctx)
-	})
+	}
 }
 
 // TestApplyRangeManyChunksAllNodes drives a commutative ApplyRange from

@@ -6,13 +6,12 @@ import (
 	"darray/internal/trace"
 )
 
-// cacheLine is one slot of a runtime thread's cache region. Pooled
-// arrays back lines lazily with refcounted pool buffers (usually by
-// adopting an inbound grant); NoPool lines carry a fixed slice for the
-// array's lifetime and ref stays nil.
+// cacheLine is one slot of a runtime thread's cache region. Lines are
+// backed lazily with refcounted pool buffers (usually by adopting an
+// inbound grant).
 type cacheLine struct {
 	data  []uint64
-	ref   *buf.Ref // pooled backing, nil under NoPool or when unbacked
+	ref   *buf.Ref // pooled backing, nil while unbacked
 	owner *dentry  // nil when free
 }
 
@@ -47,9 +46,6 @@ func newRTState(a *Array, rt *cluster.Runtime) *rtState {
 	}
 	for i := range s.lines {
 		ln := &cacheLine{}
-		if !a.pooled {
-			ln.data = make([]uint64, a.sh.chunkWords)
-		}
 		s.lines[i] = ln
 		s.free = append(s.free, ln)
 	}

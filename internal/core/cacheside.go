@@ -140,19 +140,17 @@ func (a *Array) handleDataResp(rt *cluster.Runtime, d *dentry, m *fabric.Message
 	fill := svt + a.copyCost(len(m.Data))
 	retrans := m.RetransNs // captured: m is recycled before completeWaiters runs
 	a.child(tc, a.self(), trace.StageService, "install", d.ci, svt, fill)
+	// Hold d busy until the install completes (see finishInstall).
+	own := !d.busy
+	d.busy = true
 	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
 		a.withLine(rt, d, func(rt *cluster.Runtime) {
 			a.installGrant(d, m) // adopts the pooled payload when it can
 			a.recycleMsg(m)      // this handler owns m (see handleMsg)
 			d.state.Store(perm)
-			d.pending = false
 			d.tvt = maxi64(d.tvt, fill)
 			a.Metrics.Fills.Add(1)
-			// Waiters completed by this grant inherit its go-back-N delay:
-			// the congestion controller's loss signal rides the Resp.
-			d.retrans = retrans
-			a.completeWaiters(rt, d)
-			d.retrans = 0
+			a.finishInstall(rt, d, own, retrans)
 		})
 	})
 }
@@ -170,23 +168,47 @@ func (a *Array) handleOpGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 	}
 	retrans := m.RetransNs
 	a.recycleMsg(m) // this handler owns m; all fields are consumed above
+	// Hold d busy until the install completes (see finishInstall).
+	own := !d.busy
+	d.busy = true
 	a.demoteLocal(rt, d, permInvalid, func(rt *cluster.Runtime) {
 		a.withLine(rt, d, func(rt *cluster.Runtime) {
-			if a.pooled {
-				a.ensureLineData(d) // no inbound payload to adopt
-			}
+			a.ensureLineData(d) // no inbound payload to adopt
 			id := op.Identity
 			for i := range d.data {
 				d.data[i] = id
 			}
 			d.state.Store(packState(permOperated, opid))
-			d.pending = false
 			d.tvt = maxi64(d.tvt, svt)
-			d.retrans = retrans
-			a.completeWaiters(rt, d)
-			d.retrans = 0
+			a.finishInstall(rt, d, own, retrans)
 		})
 	})
+}
+
+// finishInstall completes a grant installation: the request is no
+// longer pending and the waiters the new state satisfies are woken.
+// Waiters completed by the grant inherit its go-back-N delay (retrans):
+// the congestion controller's loss signal rides the Resp.
+//
+// The grant handlers keep d busy from arrival until here, because the
+// install can stall (draining readers of an old Shared copy, waiting
+// for a free line). A recall or op-recall the home sends after the
+// grant would otherwise be handled during the stall, find the pre-grant
+// state, and be dropped as already answered — leaving the home waiting
+// forever for the flush. Busy defers those commands; they run here, in
+// arrival order, once the grant is in place. own is false when another
+// transition already held d busy; that transition drains instead.
+func (a *Array) finishInstall(rt *cluster.Runtime, d *dentry, own bool, retrans int64) {
+	d.pending = false
+	if own {
+		d.busy = false
+	}
+	d.retrans = retrans
+	a.completeWaiters(rt, d)
+	d.retrans = 0
+	if own {
+		a.drainDeferred(rt, d, d.ci)
+	}
 }
 
 // completeWaiters responds to every waiter the new state satisfies and
@@ -206,11 +228,8 @@ func (a *Array) completeWaiters(rt *cluster.Runtime, d *dentry) {
 	}
 	d.waiters = kept
 	if len(d.waiters) == 0 {
-		if !a.pooled {
-			d.waiters = nil
-		}
-		// Pooled: keep the empty slice so the next miss on this chunk
-		// appends into retained capacity instead of reallocating.
+		// Keep the empty slice so the next miss on this chunk appends
+		// into retained capacity instead of reallocating.
 		return
 	}
 	if !d.pending && !d.busy {
@@ -258,12 +277,10 @@ func (a *Array) handleDowngrade(rt *cluster.Runtime, d *dentry, svt int64, tc tr
 	d.tvt = maxi64(d.tvt, svt)
 	a.demoteLocal(rt, d, permRead, func(rt *cluster.Runtime) {
 		// The line survives as a Shared copy, so the writeback cannot
-		// donate its buffer — this path genuinely copies in both modes.
+		// donate its buffer — this path genuinely copies.
 		data, pay := a.leasePayload(len(d.data))
 		copy(data, d.data)
-		if a.pooled {
-			a.Metrics.PayloadCopies.Add(1)
-		}
+		a.Metrics.PayloadCopies.Add(1)
 		a.Metrics.WriteBacks.Add(1)
 		d.busy = false
 		cc := a.copyCost(len(data))

@@ -14,7 +14,7 @@ import (
 // 2-node cluster and returns the pipeline's issue/await interleaving as
 // a string like "i0 i1 a0 i2 a1 ...". Single app thread, so the hook
 // sequence is deterministic.
-func captureSchedule(t *testing.T, cfg cluster.Config, opts Options, nChunks int64) string {
+func captureSchedule(t *testing.T, cfg cluster.Config, nChunks int64) string {
 	t.Helper()
 	cfg.Nodes = 2
 	cfg.ChunkWords = 64
@@ -23,7 +23,7 @@ func captureSchedule(t *testing.T, cfg cluster.Config, opts Options, nChunks int
 	defer c.Close()
 	var sched []string
 	c.Run(func(n *cluster.Node) {
-		a := New(n, 2*64*nChunks, opts) // nChunks homed per node
+		a := New(n, 2*64*nChunks) // nChunks homed per node
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {
@@ -72,22 +72,9 @@ func TestNoCCScheduleBitIdentical(t *testing.T) {
 	got := captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
 		PipelineDepth: depth, PrefetchAhead: -1, NoCC: true,
-	}, Options{}, chunks)
+	}, chunks)
 	if want := fixedSchedule(chunks, depth); got != want {
 		t.Fatalf("NoCC schedule diverged from fixed-depth behaviour:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestNoCCArrayOptionSchedule covers the per-array ablation: a CC-
-// enabled cluster still runs this one array at the fixed schedule.
-func TestNoCCArrayOptionSchedule(t *testing.T) {
-	const chunks, depth = 12, 4
-	got := captureSchedule(t, cluster.Config{
-		RuntimeThreads: 1, CacheChunks: 64,
-		PipelineDepth: depth, PrefetchAhead: -1,
-	}, Options{NoCC: true}, chunks)
-	if want := fixedSchedule(chunks, depth); got != want {
-		t.Fatalf("Options.NoCC schedule diverged:\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -100,7 +87,7 @@ func TestAdaptiveSlowStartNarrowsBurst(t *testing.T) {
 	got := strings.Fields(captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
 		PipelineDepth: depth, PrefetchAhead: -1,
-	}, Options{}, chunks))
+	}, chunks))
 	burst := 0
 	for _, ev := range got {
 		if ev[0] != 'i' {
@@ -136,7 +123,7 @@ func TestPrefetchDemandCredit(t *testing.T) {
 		cfg.NoCC = true
 	})
 	c.Run(func(n *cluster.Node) {
-		a := New(n, 2 * 64 * 8)
+		a := New(n, 2*64*8)
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {
@@ -177,7 +164,7 @@ func TestPrefetchDemandCredit(t *testing.T) {
 func TestAdaptivePrefetchCreditTracksWindow(t *testing.T) {
 	c := tc(t, 2, func(cfg *cluster.Config) { cfg.PipelineDepth = 16 })
 	c.Run(func(n *cluster.Node) {
-		a := New(n, 2 * 64 * 8)
+		a := New(n, 2*64*8)
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {

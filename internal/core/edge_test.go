@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"darray/internal/cluster"
 )
@@ -286,4 +287,47 @@ func TestStatsAccounting(t *testing.T) {
 		}
 		c.Barrier(ctx)
 	})
+}
+
+// TestRecallDuringStalledInstall covers a grant whose install has to
+// wait: node 1 upgrades its pinned Shared copy to RW, so installing the
+// grant waits for the pin to drop. A recall the home sends meanwhile
+// (node 2 wants to write) must wait for the install, not find the old
+// Shared state and be dropped as already answered — that left node 2
+// blocked forever.
+func TestRecallDuringStalledInstall(t *testing.T) {
+	c := tc(t, 3)
+	arrs := make([]*Array, 3)
+	c.Run(func(n *cluster.Node) { arrs[n.ID()] = New(n, 3*64) })
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	n1, n2 := c.Node(1), c.Node(2)
+	reader := n1.NewCtx(0)
+	pin := arrs[1].PinRead(reader, 0) // element 0 is homed on node 0
+	upgraded, written := make(chan struct{}), make(chan struct{})
+	go func() { arrs[1].Set(n1.NewCtx(1), 0, 7); close(upgraded) }()
+	waitFor("node 1's install to wait on the pin", func() bool {
+		return arrs[1].Metrics.RefDrainStalls.Load() > 0
+	})
+	go func() { arrs[2].Set(n2.NewCtx(0), 0, 9); close(written) }()
+	waitFor("the home to recall the chunk from node 1", func() bool {
+		return arrs[0].Metrics.Recalls.Load() > 0
+	})
+	pin.Unpin(reader)
+	for _, ch := range []chan struct{}{upgraded, written} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a Set never completed: the recall was lost")
+		}
+	}
+	if got := arrs[0].Get(c.Node(0).NewCtx(0), 0); got != 7 && got != 9 {
+		t.Fatalf("element 0 = %d, want 7 or 9", got)
+	}
 }

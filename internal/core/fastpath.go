@@ -30,15 +30,10 @@ func (a *Array) Get(ctx *cluster.Ctx, i int64) uint64 {
 		a.noteSeq(ctx, ci)
 	}
 	for {
-		if d.delay.Load() { // prevent runtime starvation
-			if a.telOn() {
-				a.Metrics.DelayStalls.Add(1)
-			}
-			for d.delay.Load() {
-				runtime.Gosched()
-			}
-		}
 		d.refcnt.Add(1) // hold a reference
+		if d.delay.Load() {
+			a.waitDelay(d)
+		}
 		st := d.state.Load()
 		if p := statePerm(st); p == permRead || p == permRW {
 			// Atomic load (a plain MOV on amd64): combining — a local
@@ -82,15 +77,10 @@ func (a *Array) Set(ctx *cluster.Ctx, i int64, v uint64) {
 		tc, t0 = a.rootSpan(ctx)
 	}
 	for {
+		d.refcnt.Add(1) // hold a reference
 		if d.delay.Load() {
-			if a.telOn() {
-				a.Metrics.DelayStalls.Add(1)
-			}
-			for d.delay.Load() {
-				runtime.Gosched()
-			}
+			a.waitDelay(d)
 		}
-		d.refcnt.Add(1)
 		st := d.state.Load()
 		if statePerm(st) == permRW {
 			d.data[off] = v
@@ -134,15 +124,10 @@ func (a *Array) Apply(ctx *cluster.Ctx, op OpID, i int64, operand uint64) {
 		tc, t0 = a.rootSpan(ctx)
 	}
 	for {
+		d.refcnt.Add(1) // hold a reference
 		if d.delay.Load() {
-			if a.telOn() {
-				a.Metrics.DelayStalls.Add(1)
-			}
-			for d.delay.Load() {
-				runtime.Gosched()
-			}
+			a.waitDelay(d)
 		}
-		d.refcnt.Add(1)
 		st := d.state.Load()
 		if p := statePerm(st); p == permRW || (p == permOperated && stateOp(st) == op) {
 			addr := &d.data[off]
@@ -180,6 +165,26 @@ func (a *Array) Apply(ctx *cluster.Ctx, op OpID, i int64, operand uint64) {
 			}
 			return // cluster failed; see ctx.Err
 		}
+	}
+}
+
+// waitDelay is the fast paths' back-off. Each takes its reference on d
+// before reading the delay flag; a runtime raises the flag before it
+// samples refcnt, so either the runtime sees the reference and waits
+// for it, or the thread sees the flag and comes here — never both
+// proceed with the line. waitDelay drops the reference, waits the
+// transition out (the flag keeps a stream of fast-path hits from
+// starving the runtime), and takes the reference again.
+func (a *Array) waitDelay(d *dentry) {
+	for d.delay.Load() {
+		d.refcnt.Add(-1)
+		if a.telOn() {
+			a.Metrics.DelayStalls.Add(1)
+		}
+		for d.delay.Load() {
+			runtime.Gosched()
+		}
+		d.refcnt.Add(1)
 	}
 }
 

@@ -47,8 +47,9 @@ func (a *Array) issueChunkInto(ctx *cluster.Ctx, r *chunkReq, ci int64, want uin
 	*r = chunkReq{ci: ci, d: d}
 	ctx.Stats.Ops++
 	if !d.delay.Load() {
+		// Reference first, then re-read the flag (see waitDelay).
 		d.refcnt.Add(1)
-		if satisfies(d.state.Load(), want, op) {
+		if !d.delay.Load() && satisfies(d.state.Load(), want, op) {
 			ctx.Stats.Hits++
 			if a.telOn() {
 				a.Metrics.PinFast.Add(1)

@@ -49,21 +49,12 @@ type fMsg struct {
 }
 
 func (a *Array) send(m *fMsg) {
-	if a.pooled {
-		fm := fabric.NewMessage()
-		fm.To, fm.Array, fm.Kind, fm.Chunk = m.to, a.sh.id, m.kind, m.chunk
-		fm.OpID, fm.Idx, fm.Val, fm.Flag = int32(m.op), m.idx, m.val, m.flag
-		fm.Data, fm.Payload, fm.SendVT = m.data, m.pay, m.vt
-		fm.Trace, fm.PSpan, fm.QueuedVT = m.tc.Trace, m.tc.Span, m.vt
-		a.node.Send(fm)
-		return
-	}
-	a.node.Send(&fabric.Message{
-		To: m.to, Array: a.sh.id, Kind: m.kind, Chunk: m.chunk,
-		OpID: int32(m.op), Idx: m.idx, Val: m.val, Flag: m.flag,
-		Data: m.data, SendVT: m.vt,
-		Trace: m.tc.Trace, PSpan: m.tc.Span, QueuedVT: m.vt,
-	})
+	fm := fabric.NewMessage()
+	fm.To, fm.Array, fm.Kind, fm.Chunk = m.to, a.sh.id, m.kind, m.chunk
+	fm.OpID, fm.Idx, fm.Val, fm.Flag = int32(m.op), m.idx, m.val, m.flag
+	fm.Data, fm.Payload, fm.SendVT = m.data, m.pay, m.vt
+	fm.Trace, fm.PSpan, fm.QueuedVT = m.tc.Trace, m.tc.Span, m.vt
+	a.node.Send(fm)
 }
 
 // charge accounts one runtime service slot starting at vt and returns

@@ -33,14 +33,14 @@ import (
 // shipped ops in every directory state.
 
 // Shipping modes (Array.shipMode, resolved at construction from
-// cluster.Config.Ship and core.Options).
+// cluster.Config.Ship).
 const (
 	shipOff  uint8 = iota // cached combining only: reproduces pre-shipping behaviour bit-for-bit
 	shipAuto              // per-chunk estimator decides (requires a vtime model)
 	shipOn                // every remote Apply ships
 )
 
-// shipModeOf parses a Config.Ship / Options.Ship knob value.
+// shipModeOf parses a Config.Ship knob value.
 func shipModeOf(s string) uint8 {
 	switch s {
 	case "", "auto":

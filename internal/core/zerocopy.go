@@ -7,11 +7,11 @@ import (
 	"darray/internal/fabric"
 )
 
-// Zero-copy data-path plumbing. When the cluster's buffer pool is
-// active (a.pooled), every protocol payload lives in a refcounted
-// buf.Ref leased from the pool, protocol messages and slow-path waiters
-// are recycled through sync.Pools, and a chunk buffer changes owner
-// instead of being copied wherever the protocol transfers ownership:
+// Zero-copy data-path plumbing. Every protocol payload lives in a
+// refcounted buf.Ref leased from the cluster's buffer pool, protocol
+// messages and slow-path waiters are recycled through sync.Pools, and a
+// chunk buffer changes owner instead of being copied wherever the
+// protocol transfers ownership:
 //
 //	lease  — home grants and writebacks fill a pooled buffer (one copy
 //	         out of the memory region, as on real hardware)
@@ -20,32 +20,20 @@ import (
 //	donate — a dying cache line's buffer becomes the outbound
 //	         writeback/flush payload (no copy)
 //
-// Virtual-time charges are identical in both modes: the vtime model
-// prices the DMA out of (or into) the registered region, which happens
-// on real hardware whether or not host memory is recycled. Only real
-// allocator traffic differs, which is what the NoPool ablation isolates.
+// The vtime model prices the DMA out of (or into) the registered
+// region, which happens on real hardware whether or not host memory is
+// recycled; recycling changes only real allocator traffic.
 
-// waiterPool recycles slow-path waiters process-wide. Only pooled
-// arrays allocate from it; lock waiters are excluded (they complete
-// through ctx directly, never through respond, so their lifecycle has
-// no single release point).
-var waiterPool sync.Pool
+// waiterPool recycles slow-path waiters process-wide. Lock waiters are
+// excluded (they complete through ctx directly, never through respond,
+// so their lifecycle has no single release point).
+var waiterPool = sync.Pool{New: func() any { return new(waiter) }}
 
-func (a *Array) getWaiter() *waiter {
-	if a.pooled {
-		if v := waiterPool.Get(); v != nil {
-			return v.(*waiter)
-		}
-	}
-	return &waiter{}
-}
+func (a *Array) getWaiter() *waiter { return waiterPool.Get().(*waiter) }
 
 // putWaiter recycles a waiter after its completion was delivered; the
 // single call site is respond.
 func (a *Array) putWaiter(w *waiter) {
-	if !a.pooled {
-		return
-	}
 	*w = waiter{}
 	waiterPool.Put(w)
 }
@@ -53,26 +41,19 @@ func (a *Array) putWaiter(w *waiter) {
 // recycleMsg returns a fully handled protocol message — and any payload
 // reference still attached — to the pools. Handlers that adopt the
 // payload clear m.Payload first, so the Release here is a no-op for
-// them. NoPool leaves everything to the GC, exactly as before.
+// them.
 func (a *Array) recycleMsg(m *fabric.Message) {
-	if !a.pooled {
-		return
-	}
 	m.Payload.Release()
 	fabric.FreeMessage(m)
 }
 
-// leasePayload returns an n-word outbound payload buffer: leased from
-// the cluster pool when pooling is on, freshly allocated otherwise. The
-// returned ref (nil under NoPool) must be attached to the outbound
+// leasePayload returns an n-word outbound payload buffer leased from
+// the cluster pool. The returned ref must be attached to the outbound
 // fMsg, transferring ownership to the receiver.
 func (a *Array) leasePayload(n int) ([]uint64, *buf.Ref) {
-	if a.pooled {
-		ref := a.pool.Get(n)
-		a.Metrics.Leases.Add(1)
-		return ref.Words(), ref
-	}
-	return make([]uint64, n), nil
+	ref := a.pool.Get(n)
+	a.Metrics.Leases.Add(1)
+	return ref.Words(), ref
 }
 
 // takeLineData surrenders d's cache-line buffer as an outbound payload.
@@ -80,7 +61,7 @@ func (a *Array) leasePayload(n int) ([]uint64, *buf.Ref) {
 // eviction): ownership of the buffer moves to the message zero-copy.
 // Without a pooled line buffer it falls back to lease-and-copy.
 func (a *Array) takeLineData(d *dentry) ([]uint64, *buf.Ref) {
-	if a.pooled && d.line != nil && d.line.ref != nil {
+	if d.line != nil && d.line.ref != nil {
 		ref := d.line.ref
 		data := d.line.data
 		d.line.ref = nil
@@ -90,16 +71,13 @@ func (a *Array) takeLineData(d *dentry) ([]uint64, *buf.Ref) {
 	}
 	data, ref := a.leasePayload(len(d.data))
 	copy(data, d.data)
-	if a.pooled {
-		a.Metrics.PayloadCopies.Add(1)
-	}
+	a.Metrics.PayloadCopies.Add(1)
 	return data, ref
 }
 
 // ensureLineData guarantees d's cache line has backing words, leasing
-// them from the pool on first use (pooled lines start empty; they are
-// normally backed by adopting an inbound grant). Pooled mode only;
-// requires d.line != nil.
+// them from the pool on first use (lines start empty; they are normally
+// backed by adopting an inbound grant). Requires d.line != nil.
 func (a *Array) ensureLineData(d *dentry) {
 	ln := d.line
 	if ln.data != nil {
@@ -118,21 +96,19 @@ func (a *Array) ensureLineData(d *dentry) {
 // adopts it outright — the receive path's copy disappears; otherwise
 // the words are copied into (possibly freshly leased) line backing.
 func (a *Array) installGrant(d *dentry, m *fabric.Message) {
-	if a.pooled {
-		if m.Payload != nil && int64(len(m.Data)) == a.sh.chunkWords {
-			ln := d.line
-			if ln.ref != nil {
-				ln.ref.Release() // drop the previously adopted backing
-			}
-			ln.ref = m.Payload
-			ln.data = m.Data
-			d.data = m.Data
-			m.Payload = nil // ownership moved to the line
-			a.Metrics.Adopts.Add(1)
-			return
+	if m.Payload != nil && int64(len(m.Data)) == a.sh.chunkWords {
+		ln := d.line
+		if ln.ref != nil {
+			ln.ref.Release() // drop the previously adopted backing
 		}
-		a.ensureLineData(d)
-		a.Metrics.PayloadCopies.Add(1)
+		ln.ref = m.Payload
+		ln.data = m.Data
+		d.data = m.Data
+		m.Payload = nil // ownership moved to the line
+		a.Metrics.Adopts.Add(1)
+		return
 	}
+	a.ensureLineData(d)
+	a.Metrics.PayloadCopies.Add(1)
 	copy(d.data, m.Data)
 }

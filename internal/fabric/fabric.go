@@ -69,8 +69,8 @@ type Message struct {
 	// owns one reference: posting transfers it to the receiver, which
 	// either releases it after copying or adopts the buffer outright.
 	// Duplicate deliveries on a lossy wire retain an extra reference
-	// instead of copying the words. Nil means Data is GC-managed (NoPool
-	// mode, payload-free messages, and foreign protocol layers).
+	// instead of copying the words. Nil means Data is GC-managed
+	// (payload-free messages and foreign protocol layers).
 	Payload *buf.Ref
 
 	// Coal marks a destination-coalesced command: the Tx thread merged
@@ -117,10 +117,7 @@ const msgHeaderBytes = 64 // wire size of a payload-free protocol message
 // Bytes returns the message's wire size.
 func (m *Message) Bytes() int { return msgHeaderBytes + 8*len(m.Data) }
 
-// msgPool recycles Message structs across the whole process. Only
-// pooled fabrics (Config.Pooled) allocate from and free to it, so a
-// NoPool configuration keeps today's allocate-per-message behaviour
-// untouched.
+// msgPool recycles Message structs across the whole process.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // NewMessage returns a zeroed Message from the process-wide pool. The
@@ -224,13 +221,6 @@ type Config struct {
 	Nodes  int
 	Model  *vtime.Model // nil disables virtual-time charging
 	Faults *fault.Plan  // nil means a perfect wire (no injection, zero overhead)
-
-	// Pooled arms the zero-copy disciplines: receive queues recycle
-	// their link nodes, duplicate deliveries share the payload buffer by
-	// refcount instead of copying, and discarded duplicates are returned
-	// to the message pool. Off, the fabric behaves exactly as before —
-	// the ablation baseline.
-	Pooled bool
 }
 
 // Fabric connects Nodes endpoints.
@@ -245,16 +235,12 @@ func New(cfg Config) *Fabric {
 		panic("fabric: Nodes must be positive")
 	}
 	f := &Fabric{cfg: cfg}
-	newRx := queue.NewMPSC[*Message]
-	if cfg.Pooled {
-		newRx = queue.NewMPSCPooled[*Message]
-	}
 	f.eps = make([]*Endpoint, cfg.Nodes)
 	for i := range f.eps {
 		f.eps[i] = &Endpoint{
 			fab:       f,
 			id:        i,
-			rx:        newRx(),
+			rx:        queue.NewMPSC[*Message](),
 			tx:        make([]vtime.Resource, cfg.Nodes),
 			txSeq:     make([]uint32, cfg.Nodes),
 			txLastVT:  make([]int64, cfg.Nodes),
@@ -399,20 +385,16 @@ func (e *Endpoint) Post(m *Message) error {
 	m.wireSeq = e.txSeq[m.To]
 	e.txSeq[m.To]++
 	// The duplicate copy must be taken (and the payload retained) before
-	// m is pushed: a pooled receiver may consume, release, and recycle m
-	// the instant it is visible.
+	// m is pushed: the receiver may consume, release, and recycle m the
+	// instant it is visible.
 	var dupMsg *Message
 	if dup {
 		// The wire delivered the packet twice; the receiver's QP state
-		// discards the copy by sequence number (see accept).
-		if e.fab.cfg.Pooled {
-			dupMsg = NewMessage()
-			*dupMsg = *m
-			m.Payload.Retain()
-		} else {
-			d := *m
-			dupMsg = &d
-		}
+		// discards the copy by sequence number (see accept). The copy
+		// shares the payload buffer by refcount instead of copying.
+		dupMsg = NewMessage()
+		*dupMsg = *m
+		m.Payload.Retain()
 	}
 	dst.rx.Push(m)
 	if dupMsg != nil {
@@ -480,13 +462,12 @@ func (e *Endpoint) accept(m *Message) bool {
 	}
 }
 
-// discard drops a suppressed duplicate, returning its payload reference
-// and Message struct to the pools when the fabric is pooled.
+// discard drops a message nobody will consume (a suppressed duplicate,
+// or one drained at teardown), returning its payload reference and
+// Message struct to the pools.
 func (e *Endpoint) discard(m *Message) {
-	if e.fab.cfg.Pooled {
-		m.Payload.Release()
-		FreeMessage(m)
-	}
+	m.Payload.Release()
+	FreeMessage(m)
 }
 
 // Poll retrieves one received message without blocking. Duplicate
@@ -518,20 +499,17 @@ func (e *Endpoint) PollWait() (*Message, bool) {
 	}
 }
 
-// DrainRx empties the receive queue, releasing pooled payload
-// references still in flight. It bypasses the QP sequence check, so it
-// must only be called after the endpoint's Rx consumer has stopped —
-// it is teardown plumbing for the pool leak check, not a receive path.
+// DrainRx empties the receive queue, releasing payload references still
+// in flight. It bypasses the QP sequence check, so it must only be
+// called after the endpoint's Rx consumer has stopped — it is teardown
+// plumbing for the pool leak check, not a receive path.
 func (e *Endpoint) DrainRx() {
 	for {
 		m, ok := e.rx.Pop()
 		if !ok {
 			return
 		}
-		if e.fab.cfg.Pooled {
-			m.Payload.Release()
-			FreeMessage(m)
-		}
+		e.discard(m)
 	}
 }
 
