@@ -28,10 +28,9 @@ import (
 
 	"darray/internal/bench"
 	"darray/internal/chaos"
-	"darray/internal/cluster"
+	"darray/internal/cliflags"
 	"darray/internal/fault"
 	"darray/internal/telemetry"
-	"darray/internal/trace"
 )
 
 func main() {
@@ -48,28 +47,14 @@ func main() {
 		zipfOps    = flag.Int("zipf-ops", 20000, "fig14 ops per node")
 		randomOps  = flag.Int("random-ops", 20000, "fig18 ops per node")
 		threads    = flag.String("threads", "1,2,4,8", "thread sweep for fig12/fig17")
-		metrics    = flag.Bool("metrics", false, "collect telemetry; print per-experiment deltas and a final cluster-wide report")
 		metricsFmt = flag.String("metrics-format", "text", "final report format: text or json")
 		metricAddr = flag.String("metrics-addr", "", "serve live metrics (expvar, /debug/metrics, pprof) on this address; implies -metrics")
-		chaosOn    = flag.Bool("chaos", false, "inject seeded fabric faults under every experiment (drops, dups, spikes, a partition window, a stalled node)")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "fault plan seed for -chaos; the same seed replays the same plan")
 		jsonOut    = flag.String("json-out", "", "run the micro suite and write machine-readable results (e.g. BENCH_micro.json)")
-		txBurst    = flag.Int("tx-burst", 0, "work requests per doorbell in the Tx thread (0 default, 1 or -1 disables batching); a ceiling when congestion control is on")
-		pipeDepth  = flag.Int("pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 serial); a ceiling when congestion control is on")
-		prefetch   = flag.Int("prefetch", 0, "chunks prefetched on a sequential miss (0 default, -1 disables prefetch and the detector)")
-		noCoalesce = flag.Bool("no-coalesce", false, "disable destination coalescing of coherence commands")
-		noCC       = flag.Bool("no-cc", false, "disable congestion control: -pipeline and -tx-burst become fixed settings instead of ceilings")
-		ship       = flag.String("ship", "auto", "function-shipping mode: auto (per-chunk contention estimator), on, off")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		traceOut   = flag.String("trace-out", "", "record causal spans and write a Perfetto-loadable Chrome trace to this file")
-		traceEvery = flag.Int("trace-sample", 1, "with -trace-out, sample every Nth public op as a trace root")
 	)
-	flag.Parse()
-	if err := cluster.CheckShip(*ship); err != nil {
-		fmt.Fprintf(os.Stderr, "darray-bench: -ship: %v\n", err)
-		os.Exit(2)
-	}
+	cf := cliflags.Register("darray-bench")
+	cf.Parse()
 
 	if *list {
 		for _, e := range bench.Experiments() {
@@ -117,22 +102,14 @@ func main() {
 	p.ZipfOps = *zipfOps
 	p.RandomOps = *randomOps
 	p.Threads = parseInts(*threads)
-	p.TxBurst = *txBurst
-	p.PipelineDepth = *pipeDepth
-	p.PrefetchAhead = *prefetch
-	p.DisableCoalesce = *noCoalesce
-	p.NoCC = *noCC
-	p.Ship = *ship
+	k := cf.Knobs
+	p.TxBurst, p.PipelineDepth, p.PrefetchAhead = k.TxBurst, k.PipelineDepth, k.PrefetchAhead
+	p.DisableCoalesce, p.Ship = k.DisableCoalesce, k.Ship
+	p.Tracer = cf.Tracer()
 	if *metricAddr != "" {
-		*metrics = true
+		cf.Metrics = true
 	}
-	var trc *trace.Tracer
-	if *traceOut != "" {
-		trc = trace.New(0)
-		trc.Enable(*traceEvery)
-		p.Tracer = trc
-	}
-	if *metrics {
+	if cf.Metrics {
 		reg := telemetry.New()
 		reg.Enable()
 		p.Telemetry = reg
@@ -153,15 +130,15 @@ func main() {
 		chaosMu    sync.Mutex
 		chaosPlans []*fault.Plan
 	)
-	if *chaosOn {
+	if cf.Chaos {
 		p.Faults = func(nodes int) *fault.Plan {
-			plan := fault.New(chaos.DefaultFaults(*chaosSeed, nodes))
+			plan := fault.New(chaos.DefaultFaults(cf.ChaosSeed, nodes))
 			chaosMu.Lock()
 			chaosPlans = append(chaosPlans, plan)
 			chaosMu.Unlock()
 			return plan
 		}
-		fmt.Printf("chaos: fault injection on, seed=%d (replay with -chaos-seed %d)\n", *chaosSeed, *chaosSeed)
+		fmt.Printf("chaos: fault injection on, seed=%d (replay with -chaos-seed %d)\n", cf.ChaosSeed, cf.ChaosSeed)
 	}
 	bench.PrintModel(os.Stdout, p)
 	fmt.Println()
@@ -200,16 +177,7 @@ func main() {
 		fmt.Printf("wrote %s (micro suite, %v wall time)\n", *jsonOut, time.Since(start).Round(time.Millisecond))
 	}
 
-	if trc != nil {
-		if err := trc.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-			os.Exit(1)
-		}
-		spans := trc.Spans()
-		fmt.Printf("# trace\nwrote %s (%d spans; load in https://ui.perfetto.dev)\n%s\n",
-			*traceOut, len(spans), trace.Summarize(spans))
-		fmt.Println(trc.StageReport())
-	}
+	cf.WriteTrace()
 	if p.Telemetry != nil {
 		snap := p.Telemetry.Snapshot().NonZero()
 		if *metricsFmt == "json" {
@@ -218,7 +186,7 @@ func main() {
 			fmt.Printf("# cumulative metrics (all experiments)\n%s", snap.Report())
 		}
 	}
-	if *chaosOn {
+	if cf.Chaos {
 		var total fault.Stats
 		chaosMu.Lock()
 		for _, plan := range chaosPlans {
@@ -226,7 +194,7 @@ func main() {
 		}
 		n := len(chaosPlans)
 		chaosMu.Unlock()
-		fmt.Printf("chaos: seed=%d clusters=%d %s\n", *chaosSeed, n, total)
+		fmt.Printf("chaos: seed=%d clusters=%d %s\n", cf.ChaosSeed, n, total)
 	}
 }
 

@@ -13,77 +13,32 @@ import (
 	"os"
 	"time"
 
-	"darray/internal/chaos"
+	"darray/internal/cliflags"
 	"darray/internal/cluster"
-	"darray/internal/core"
 	"darray/internal/engine"
-	"darray/internal/fault"
 	"darray/internal/gemini"
 	"darray/internal/graph"
-	"darray/internal/trace"
-	"darray/internal/vtime"
 )
 
 func main() {
 	var (
-		app        = flag.String("app", "pagerank", "pagerank | cc | bfs | sssp")
-		eng        = flag.String("engine", "darray", "darray | darray-pin | gemini")
-		input      = flag.String("input", "", "edge-list file (default: generate R-MAT)")
-		scale      = flag.Int("scale", 12, "R-MAT scale when generating")
-		nodes      = flag.Int("nodes", 4, "simulated cluster nodes")
-		threads    = flag.Int("threads", 1, "application threads per node (darray engine)")
-		iters      = flag.Int("iters", 10, "PageRank iterations")
-		root       = flag.Int64("root", 0, "BFS/SSSP source vertex")
-		metrics    = flag.Bool("metrics", false, "print the cluster telemetry report after the run")
-		chaosOn    = flag.Bool("chaos", false, "inject seeded fabric faults (enables the virtual-time model: fault windows are vtime-keyed)")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "fault plan seed for -chaos")
-		txBurst    = flag.Int("tx-burst", 0, "work requests per doorbell in the Tx thread (0 default, 1 or -1 disables batching); a ceiling when congestion control is on")
-		pipeDepth  = flag.Int("pipeline", 0, "outstanding chunk fetches per bulk range (0 default, 1 or -1 serial); a ceiling when congestion control is on")
-		prefetch   = flag.Int("prefetch", 0, "chunks prefetched on a sequential miss (0 default, -1 disables prefetch and the detector)")
-		noCoalesce = flag.Bool("no-coalesce", false, "disable destination coalescing of coherence commands")
-		noCC       = flag.Bool("no-cc", false, "disable congestion control: -pipeline and -tx-burst become fixed settings instead of ceilings")
-		ship       = flag.String("ship", "auto", "function-shipping mode: auto (per-chunk contention estimator), on, off")
-		traceOut   = flag.String("trace-out", "", "record causal spans and write a Perfetto-loadable Chrome trace to this file (enables the virtual-time model)")
-		traceEvery = flag.Int("trace-sample", 1, "with -trace-out, sample every Nth public op as a trace root")
+		app     = flag.String("app", "pagerank", "pagerank | cc | bfs | sssp")
+		eng     = flag.String("engine", "darray", "darray | darray-pin | gemini")
+		input   = flag.String("input", "", "edge-list file (default: generate R-MAT)")
+		scale   = flag.Int("scale", 12, "R-MAT scale when generating")
+		nodes   = flag.Int("nodes", 4, "simulated cluster nodes")
+		threads = flag.Int("threads", 1, "application threads per node (darray engine)")
+		iters   = flag.Int("iters", 10, "PageRank iterations")
+		root    = flag.Int64("root", 0, "BFS/SSSP source vertex")
 	)
-	flag.Parse()
-	if err := cluster.CheckShip(*ship); err != nil {
-		fmt.Fprintf(os.Stderr, "darray-graph: -ship: %v\n", err)
-		os.Exit(2)
-	}
+	cf := cliflags.Register("darray-graph")
+	cf.Parse()
 
 	g := loadGraph(*input, *scale)
 	fmt.Printf("graph: %d vertices, %d edges | engine=%s app=%s nodes=%d threads=%d\n",
 		g.N, g.Edges(), *eng, *app, *nodes, *threads)
 
-	cfg := cluster.Config{
-		Nodes:           *nodes,
-		Metrics:         *metrics,
-		MsgKindName:     core.KindName,
-		TxBurst:         *txBurst,
-		PipelineDepth:   *pipeDepth,
-		PrefetchAhead:   *prefetch,
-		DisableCoalesce: *noCoalesce,
-		NoCC:            *noCC,
-		Ship:            *ship,
-	}
-	var plan *fault.Plan
-	if *chaosOn {
-		plan = fault.New(chaos.DefaultFaults(*chaosSeed, *nodes))
-		cfg.Faults = plan
-		cfg.Model = vtime.Default()
-		fmt.Printf("chaos: fault injection on, seed=%d\n", *chaosSeed)
-	}
-	var trc *trace.Tracer
-	if *traceOut != "" {
-		trc = trace.New(0)
-		trc.Enable(*traceEvery)
-		cfg.Tracer = trc
-		if cfg.Model == nil {
-			cfg.Model = vtime.Default() // spans need virtual time
-		}
-	}
-	c := cluster.New(cfg)
+	c := cluster.New(cf.Config(*nodes))
 	defer c.Close()
 
 	start := time.Now()
@@ -100,26 +55,7 @@ func main() {
 		}
 	})
 	fmt.Printf("%s\nwall time: %v\n", <-summary, time.Since(start).Round(time.Millisecond))
-	if *metrics {
-		fmt.Print(c.MetricsReport())
-	}
-	if trc != nil {
-		if err := trc.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-			os.Exit(1)
-		}
-		spans := trc.Spans()
-		fmt.Printf("# trace\nwrote %s (%d spans; load in https://ui.perfetto.dev)\n%s\n",
-			*traceOut, len(spans), trace.Summarize(spans))
-		fmt.Println(trc.StageReport())
-	}
-	if plan != nil {
-		fmt.Printf("chaos: seed=%d %s\n", *chaosSeed, plan.Stats())
-		if err := c.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: cluster degraded (seed=%d): %v\n", *chaosSeed, err)
-			os.Exit(1)
-		}
-	}
+	cf.Finish(c)
 }
 
 func loadGraph(path string, scale int) *graph.CSR {

@@ -68,8 +68,8 @@ var (
 // NewCluster builds and starts a simulated cluster. The data-path knobs
 // live in Config and apply to every array on the cluster: TxBurst,
 // PipelineDepth, PrefetchAhead and DisableCoalesce tune or ablate the
-// streaming optimizations, NoCC pins them to fixed settings, and Ship
-// selects function shipping ("auto", "on" or "off").
+// streaming optimizations, and Ship selects function shipping ("auto",
+// "on" or "off").
 func NewCluster(cfg Config) *Cluster { return cluster.New(cfg) }
 
 // New collectively creates a distributed array of n 8-byte elements

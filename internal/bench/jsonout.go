@@ -18,11 +18,9 @@ import (
 // AllocsPerOp and BytesPerOp (schema v2) are heap-allocation deltas
 // (runtime.MemStats Mallocs/TotalAlloc) over the whole measurement —
 // including cluster setup, amortised over every operation — so they
-// track the real GC pressure a benchmark run produces.
-// P99NsPerOp, Fairness, and Retransmits (schema v4) carry the
-// multi-stream contention experiment: tail per-slab latency, Jain's
-// fairness index over per-stream throughput, and the go-back-N
-// retransmission count of faulted runs.
+// track the real GC pressure a benchmark run produces. Schema v6
+// dropped the contention experiment's rows and the p99_ns_per_op,
+// fairness and retransmits fields only those rows filled.
 type MicroResult struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -30,16 +28,14 @@ type MicroResult struct {
 	WallNsPerOp float64 `json:"wall_ns_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
-	P99NsPerOp  float64 `json:"p99_ns_per_op,omitempty"`
-	Fairness    float64 `json:"fairness,omitempty"`
-	Retransmits int64   `json:"retransmits,omitempty"`
 	Knobs       *Knobs  `json:"knobs,omitempty"`
 }
 
 // Knobs records the effective knob set behind one measurement (schema
 // v3), so a result line is interpretable without reconstructing the
 // command line that produced it. Schema v5 dropped no_pool: the pooled
-// zero-copy path is the only data path.
+// zero-copy path is the only data path; v6 dropped no_cc and streams:
+// fixed pipeline windows are the only streaming path.
 type Knobs struct {
 	TxBurst  int     `json:"tx_burst"`
 	Pipeline int     `json:"pipeline"`
@@ -49,8 +45,6 @@ type Knobs struct {
 	Nodes    int     `json:"nodes"`
 	Threads  int     `json:"threads"`
 	Theta    float64 `json:"theta,omitempty"`
-	NoCC     bool    `json:"no_cc,omitempty"`
-	Streams  int     `json:"streams,omitempty"`
 }
 
 // knobs renders p's effective cluster knob set for one measurement.
@@ -67,7 +61,6 @@ func (p Params) knobs(nodes, threads int) *Knobs {
 		Ship:     ship,
 		Nodes:    nodes,
 		Threads:  threads,
-		NoCC:     p.NoCC,
 	}
 }
 
@@ -106,7 +99,7 @@ func measureAllocs(fn func() int64) (allocsPerOp, bytesPerOp float64) {
 func MicroJSON(p Params) MicroReport {
 	nodes := min(3, p.MaxNodes)
 	rep := MicroReport{
-		Schema:       "darray-bench-micro/v5",
+		Schema:       "darray-bench-micro/v6",
 		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:    runtime.Version(),
 		GOOS:         runtime.GOOS,
@@ -185,35 +178,6 @@ func MicroJSON(p Params) MicroReport {
 			})
 		}
 	}
-	// Multi-stream contention (schema v4): adaptive congestion windows
-	// vs the fixed-depth knobs as concurrent streams share one link.
-	// NsPerOp here is mean per-slab latency; MopsPerSec is aggregate
-	// Mwords/s; the -chaos rows add the retransmission bill under a
-	// seeded 2% loss plan.
-	addContention := func(streams int, noCC, faulted bool) {
-		r := runContention(p, streams, noCC, faulted)
-		mode := "adaptive"
-		if noCC {
-			mode = "fixed"
-		}
-		name := fmt.Sprintf("contention/streams=%d/%s", streams, mode)
-		if faulted {
-			name = fmt.Sprintf("contention-chaos/streams=%d/%s", streams, mode)
-		}
-		k := p.knobs(2, streams)
-		k.NoCC, k.Streams = noCC, streams
-		rep.Results = append(rep.Results, MicroResult{
-			Name: name, NsPerOp: r.meanNs, MopsPerSec: r.mwords,
-			P99NsPerOp: r.p99Ns, Fairness: r.jain, Retransmits: r.retrans,
-			Knobs: k,
-		})
-	}
-	for _, s := range []int{1, 4, 8} {
-		addContention(s, false, false)
-		addContention(s, true, false)
-	}
-	addContention(4, false, true)
-	addContention(4, true, true)
 	return rep
 }
 

@@ -11,8 +11,8 @@ import (
 // depends on. Which runtime goroutine wins a race for a chunk — and so
 // the protocol schedule the cost model charges — follows how the host
 // interleaves goroutines, and two things make that interleaving vary
-// run to run enough to flip the shape assertions (contention
-// crossover, stream baseline, figure shapes):
+// run to run enough to flip the shape assertions (stream baseline,
+// figure shapes):
 //
 //   - more than one P: goroutines run truly in parallel, so the order
 //     follows the host's CPU timing. The package runs on one P.

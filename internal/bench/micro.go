@@ -50,11 +50,6 @@ type Params struct {
 	PrefetchAhead   int
 	DisableCoalesce bool
 
-	// NoCC disables congestion-controlled streaming, pinning the bulk
-	// pipeline and Tx doorbells to the static knobs above — the
-	// fixed-window ablation behind the contention experiment.
-	NoCC bool
-
 	// Ship selects the function-shipping mode for every cluster the
 	// experiments build: "" or "auto" (per-chunk estimator), "on", "off".
 	Ship string
@@ -104,7 +99,6 @@ func (p Params) cluster(nodes int) *cluster.Cluster {
 		PipelineDepth:   p.PipelineDepth,
 		PrefetchAhead:   p.PrefetchAhead,
 		DisableCoalesce: p.DisableCoalesce,
-		NoCC:            p.NoCC,
 		Ship:            p.Ship,
 		Tracer:          p.Tracer,
 	})

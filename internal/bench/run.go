@@ -28,7 +28,6 @@ func Experiments() []Experiment {
 		{"fig17", "KVS YCSB throughput: DArray-KVS vs GAM-KVS", Fig17},
 		{"fig18", "Random access latency (poor locality limitation)", Fig18},
 		{"ablation", "Design ablations: prefetch, chunk size, signaling, runtimes", Ablations},
-		{"contention", "Multi-stream contention: adaptive congestion windows vs fixed pipeline knobs", Contention},
 		{"stream", "Streaming bulk transfers: pipelined ranges, doorbell batching, coalescing", Stream},
 		{"hotspot", "Function-shipping crossover: RMW-heavy hot keys, skew × ship mode", Hotspot},
 	}

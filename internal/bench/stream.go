@@ -75,7 +75,6 @@ func runStream(p Params, nodes int, sc streamConfig) streamResult {
 		TxBurst:       sc.txBurst,
 		PrefetchAhead: sc.prefetch,
 		PipelineDepth: sc.pipeline,
-		NoCC:          p.NoCC,
 	}
 	cfg.DisableCoalesce = !sc.coalesce
 	if p.Faults != nil {

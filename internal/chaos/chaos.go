@@ -52,11 +52,6 @@ type Config struct {
 	// bit-identical in every mode.
 	Ship string
 
-	// NoCC disables congestion-controlled streaming (the fixed-knob
-	// ablation). Adaptive windows only reschedule traffic, so results
-	// must be bit-identical either way.
-	NoCC bool
-
 	Out io.Writer // optional progress/trace output
 }
 
@@ -206,7 +201,6 @@ func runOnce(w Workload, cfg Config, plan *fault.Plan) (uint64, error) {
 		CacheChunks:    cfg.CacheChunks,
 		RuntimeThreads: 2,
 		Ship:           cfg.Ship,
-		NoCC:           cfg.NoCC,
 	})
 	fp, arrays := w.Run(c, cfg.Threads, cfg.Seed)
 	if err := c.Err(); err != nil {

@@ -258,16 +258,15 @@ func BulkRange(words int64) Workload {
 	}
 }
 
-// StreamContention is the congestion-control chaos workload: `streams`
+// StreamContention is the multi-stream chaos workload: `streams`
 // concurrent bulk streams per node all cross the same links at once —
 // every node's threads stream disjoint SetRange slices into the
 // successor's partition and read them back with GetRange — while the
 // fault plan injects loss, duplication, latency spikes, a partition
 // window, and a stalled node. Each thread fingerprints only its own
 // slice, and the per-(node, thread) digests are folded in fixed order,
-// so the fingerprint depends on (threads, seed) alone: adaptive windows
-// may reschedule the traffic arbitrarily against the fixed-knob
-// ablation without moving it.
+// so the fingerprint depends on (threads, seed) alone, however the
+// streams' pipelines interleave on the shared links.
 func StreamContention(words int64, streams int) Workload {
 	return Workload{
 		Name: fmt.Sprintf("stream-contention-%d", streams),

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"darray/internal/buf"
-	"darray/internal/cc"
 	"darray/internal/fabric"
 	"darray/internal/fault"
 	"darray/internal/telemetry"
@@ -56,15 +55,7 @@ type Config struct {
 	// PipelineDepth is the default number of outstanding chunk fetches a
 	// bulk range operation keeps in flight (core.GetRange and friends).
 	// 1 or -1 restores the serial chunk-at-a-time slow path; default 8.
-	// With congestion control active (the default) this is a ceiling:
-	// the per-(thread, destination) controller picks the actual window.
 	PipelineDepth int
-
-	// NoCC disables congestion control cluster-wide: bulk pipelines run
-	// at the fixed PipelineDepth and the Tx thread always batches up to
-	// TxBurst, reproducing the static-knob behaviour bit-for-bit (the
-	// ablation baseline; see internal/cc).
-	NoCC bool
 
 	// Ship selects the default function-shipping mode for arrays built on
 	// this cluster: "auto" (per-chunk contention estimator; the default),
@@ -543,12 +534,6 @@ type Ctx struct {
 	err  error     // first completion error observed by this thread
 	toks []*Token  // recycled completion tokens
 
-	// ccs[dst] is this thread's congestion controller toward node dst
-	// (nil slice under Config.NoCC). Built eagerly at NewCtx so runtime
-	// goroutines — the prefetcher capping speculative issues by spare
-	// window — can read controllers without racing lazy construction.
-	ccs []*cc.Controller
-
 	// demand counts this thread's in-flight slow-path chunk requests
 	// (pipeline tokens plus the single synchronous request). Atomic:
 	// runtime goroutines read it to cap speculative prefetch issue by
@@ -558,27 +543,12 @@ type Ctx struct {
 
 // Resp is the completion record a runtime goroutine sends back to a
 // blocked application thread: the virtual time the request finished at,
-// plus an optional value. RetransNs is the share of the grant's
-// delivery latency the fabric's go-back-N recovery added (0 on a clean
-// wire or a local grant) — the congestion controller's loss signal.
+// plus an optional value.
 type Resp struct {
-	VT        int64
-	Val       uint64
-	RetransNs int64
-	Err       error
+	VT  int64
+	Val uint64
+	Err error
 }
-
-// CC returns this thread's congestion controller toward node dst, or
-// nil when the cluster runs with congestion control disabled.
-func (ctx *Ctx) CC(dst int) *cc.Controller {
-	if ctx.ccs == nil {
-		return nil
-	}
-	return ctx.ccs[dst]
-}
-
-// CCOn reports whether congestion control is active for this thread.
-func (ctx *Ctx) CCOn() bool { return ctx.ccs != nil }
 
 // DemandStart records one slow-path chunk request entering flight.
 func (ctx *Ctx) DemandStart() { ctx.demand.Add(1) }
@@ -694,19 +664,12 @@ type Stats struct {
 
 // NewCtx creates a thread context on node n.
 func (n *Node) NewCtx(tid int) *Ctx {
-	ctx := &Ctx{
+	return &Ctx{
 		Node: n,
 		TID:  tid,
 		Rng:  rand.New(rand.NewSource(int64(n.id)*1_000_003 + int64(tid)*7919 + 1)),
 		resp: make(chan Resp, 1),
 	}
-	if !n.c.cfg.NoCC {
-		ctx.ccs = make([]*cc.Controller, n.c.cfg.Nodes)
-		for i := range ctx.ccs {
-			ctx.ccs[i] = cc.New()
-		}
-	}
-	return ctx
 }
 
 // RunThreads runs fn on t application threads of this node and waits.

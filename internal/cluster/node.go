@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"darray/internal/cc"
 	"darray/internal/fabric"
 	"darray/internal/queue"
 	"darray/internal/telemetry"
@@ -166,28 +165,16 @@ func (n *Node) drainResidual() {
 // payload-free commands, and posts the burst behind a single doorbell —
 // the leader pays the full SendCost, followers only the chained-WQE
 // cost. TxBurst=1 reproduces the unbatched per-message charging.
-//
-// With congestion control active (Config.NoCC unset) TxBurst is only a
-// ceiling: an AIMD budget shrinks the batch when posts needed go-back-N
-// recovery — a big doorbell behind a lossy link turns one drop into a
-// burst-wide resend — and grows it back one WQE per clean burst.
 func (n *Node) txLoop() {
 	defer n.wg.Done()
 	var txRes vtime.Resource
 	mdl := n.c.cfg.Model
-	var bud *cc.Burst
-	if !n.c.cfg.NoCC {
-		bud = cc.NewBurst(n.c.cfg.TxBurst)
-	}
+	limit := n.c.cfg.TxBurst
 	burst := make([]*fabric.Message, 0, n.c.cfg.TxBurst)
 	for {
 		m, ok := n.txq.PopWait(n.stop)
 		if !ok {
 			return
-		}
-		limit := n.c.cfg.TxBurst
-		if bud != nil {
-			limit = bud.Limit()
 		}
 		burst = append(burst[:0], m)
 		for len(burst) < limit {
@@ -217,9 +204,6 @@ func (n *Node) txLoop() {
 				fabric.FreeMessage(m)
 				n.c.fail(fmt.Errorf("node %d tx: %w", n.id, err))
 			}
-		}
-		if bud != nil {
-			bud.OnBurst(n.ep.TakeRetransSignal())
 		}
 	}
 }

@@ -47,18 +47,8 @@ type Array struct {
 	Metrics Metrics
 
 	// pipeline is the effective bulk-transfer pipeline depth for this
-	// array (>= 1; 1 means serial chunk-at-a-time ranges). With
-	// congestion control active it is the window ceiling.
+	// array (>= 1; 1 means serial chunk-at-a-time ranges).
 	pipeline int
-	// ccOff disables adaptive windows for this array: bulk ranges issue
-	// at the fixed pipeline depth (the pre-CC behaviour, bit-for-bit).
-	// Set by the cluster-wide Config.NoCC.
-	ccOff bool
-	// ccCwnd/ccSrtt sample the adaptive window (chunks) and smoothed RTT
-	// (virtual ns) at each congestion-controlled completion, telemetry-
-	// gated like the fast-path counters.
-	ccCwnd telemetry.Histogram
-	ccSrtt telemetry.Histogram
 	// shipMode is the resolved function-shipping mode for this array
 	// (shipOff/shipAuto/shipOn; see ship.go).
 	shipMode uint8
@@ -111,9 +101,6 @@ type Metrics struct {
 	PrefetchWasted    atomic.Int64 // speculative fills evicted or invalidated untouched
 	PrefetchThrottled atomic.Int64 // speculative issues withheld for lack of spare window credit
 
-	// Congestion-control accounting (zero under NoCC; see internal/cc).
-	CCBackoffs atomic.Int64 // multiplicative backoffs + timeout-grade resets observed by bulk pipelines
-
 	// Fast-path counters, gated on cluster telemetry (see telOn).
 	Hits        atomic.Int64 // fast-path accesses served from a resident chunk
 	Misses      atomic.Int64 // slow-path requests submitted to the runtime
@@ -150,8 +137,7 @@ type Options struct {
 // New collectively creates a distributed array of n 8-byte elements,
 // evenly partitioned across the cluster's nodes by default. Every node
 // must call New in the same program order (SPMD). The streaming,
-// prefetch, shipping and congestion-control settings come from the
-// cluster's Config. With several Options the last PartitionOffset wins.
+// prefetch and shipping settings come from the cluster's Config. With several Options the last PartitionOffset wins.
 func New(node *cluster.Node, n int64, opts ...Options) *Array {
 	if n <= 0 {
 		panic("core: array length must be positive")
@@ -231,7 +217,7 @@ func buildShared(c *cluster.Cluster, n int64, opt Options) *shared {
 	for v := int64(0); v < nodes; v++ {
 		node := c.Node(int(v))
 		a := &Array{sh: sh, node: node, model: c.Model(), reg: c.Telemetry(),
-			pipeline: cfg.PipelineDepth, seqTrig: seqTrig, shipMode: ship, ccOff: cfg.NoCC,
+			pipeline: cfg.PipelineDepth, seqTrig: seqTrig, shipMode: ship,
 			pool: c.BufPool(), trc: c.Tracer()}
 		lo, hi := sh.starts[v]*cw, sh.starts[v+1]*cw
 		if hi > n {

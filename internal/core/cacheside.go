@@ -60,7 +60,7 @@ func (a *Array) issueRequest(rt *cluster.Runtime, d *dentry) {
 // prefetch requests the next few chunks after ci if they are remote and
 // absent. The submissions go to the runtimes owning those chunks.
 // Speculative issue spends the requesting thread's spare window credit
-// (window minus in-flight demand): a busy pipeline gets no prefetch at
+// (pipeline depth minus in-flight demand): a busy pipeline gets no prefetch at
 // all, so speculation can never queue ahead of demand fetches.
 func (a *Array) prefetch(ctx *cluster.Ctx, ci int64, vt int64) {
 	ahead := int64(a.node.Cluster().Config().PrefetchAhead)
@@ -74,7 +74,7 @@ func (a *Array) prefetch(ctx *cluster.Ctx, ci int64, vt int64) {
 		if dst == a.self() {
 			continue
 		}
-		if a.spareCredit(ctx, dst) <= issued {
+		if a.spareCredit(ctx) <= issued {
 			a.Metrics.PrefetchThrottled.Add(1)
 			return // spend at most the spare credit, in order
 		}
@@ -138,7 +138,6 @@ func (a *Array) adoptLine(d *dentry, ln *cacheLine) {
 func (a *Array) handleDataResp(rt *cluster.Runtime, d *dentry, m *fabric.Message, svt int64, tc trace.Ctx) {
 	perm := uint32(m.Val)
 	fill := svt + a.copyCost(len(m.Data))
-	retrans := m.RetransNs // captured: m is recycled before completeWaiters runs
 	a.child(tc, a.self(), trace.StageService, "install", d.ci, svt, fill)
 	// Hold d busy until the install completes (see finishInstall).
 	own := !d.busy
@@ -150,7 +149,7 @@ func (a *Array) handleDataResp(rt *cluster.Runtime, d *dentry, m *fabric.Message
 			d.state.Store(perm)
 			d.tvt = maxi64(d.tvt, fill)
 			a.Metrics.Fills.Add(1)
-			a.finishInstall(rt, d, own, retrans)
+			a.finishInstall(rt, d, own)
 		})
 	})
 }
@@ -166,7 +165,6 @@ func (a *Array) handleOpGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 		// mode, keeping the wire identical to the pre-shipping protocol).
 		d.ship.Store(m.Val != 0)
 	}
-	retrans := m.RetransNs
 	a.recycleMsg(m) // this handler owns m; all fields are consumed above
 	// Hold d busy until the install completes (see finishInstall).
 	own := !d.busy
@@ -180,15 +178,13 @@ func (a *Array) handleOpGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 			}
 			d.state.Store(packState(permOperated, opid))
 			d.tvt = maxi64(d.tvt, svt)
-			a.finishInstall(rt, d, own, retrans)
+			a.finishInstall(rt, d, own)
 		})
 	})
 }
 
 // finishInstall completes a grant installation: the request is no
 // longer pending and the waiters the new state satisfies are woken.
-// Waiters completed by the grant inherit its go-back-N delay (retrans):
-// the congestion controller's loss signal rides the Resp.
 //
 // The grant handlers keep d busy from arrival until here, because the
 // install can stall (draining readers of an old Shared copy, waiting
@@ -198,14 +194,12 @@ func (a *Array) handleOpGrant(rt *cluster.Runtime, d *dentry, m *fabric.Message,
 // forever for the flush. Busy defers those commands; they run here, in
 // arrival order, once the grant is in place. own is false when another
 // transition already held d busy; that transition drains instead.
-func (a *Array) finishInstall(rt *cluster.Runtime, d *dentry, own bool, retrans int64) {
+func (a *Array) finishInstall(rt *cluster.Runtime, d *dentry, own bool) {
 	d.pending = false
 	if own {
 		d.busy = false
 	}
-	d.retrans = retrans
 	a.completeWaiters(rt, d)
-	d.retrans = 0
 	if own {
 		a.drainDeferred(rt, d, d.ci)
 	}

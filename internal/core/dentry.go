@@ -132,7 +132,6 @@ type dentry struct {
 	busy    bool                                               // a protocol transition (or eviction) is in flight
 	pending bool                                               // cache side: a request to home is outstanding
 	tvt     int64                                              // virtual time the transition has reached
-	retrans int64                                              // go-back-N delay of the grant being installed (set around completeWaiters)
 	waiters []*waiter                                          // local slow-path waiters
 	defrd   []deferredReq                                      // requests deferred while busy
 	line    *cacheLine                                         // backing cache line (nil at home / not resident)

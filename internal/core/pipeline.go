@@ -1,7 +1,6 @@
 package core
 
 import (
-	"darray/internal/cc"
 	"darray/internal/cluster"
 	"darray/internal/trace"
 )
@@ -13,12 +12,10 @@ import (
 // in-flight acquisition completes through its own cluster.Token,
 // sidestepping the Ctx single-outstanding-request limit.
 //
-// How many acquisitions stay in flight depends on the mode. With
-// congestion control active (the default) a per-(thread, destination)
-// cc.Controller picks the window from observed virtual-time round
-// trips, and the configured PipelineDepth is only its ceiling; under
-// the NoCC ablation the fixed depth itself is the window, reproducing
-// the static-knob issue schedule bit-for-bit.
+// The window is fixed: PipelineDepth acquisitions in flight, the
+// paper's RC-over-a-lossless-fabric streaming model. The fabric's
+// go-back-N recovery absorbs loss below the protocol, so no window
+// adapts to it.
 
 // chunkReq is one in-flight chunk acquisition of a bulk pipeline.
 type chunkReq struct {
@@ -26,13 +23,6 @@ type chunkReq struct {
 	d   *dentry
 	tok *cluster.Token // slow-path completion; nil when pin fast-granted
 	pin *Pin           // non-nil when the lock-free fast path granted
-
-	// Congestion-control bookkeeping, set by the pipeline when the
-	// acquisition went remote under an active controller: the
-	// destination's controller, and the virtual time the request was
-	// issued (completionVT - issueVT is the RTT sample).
-	ctrl    *cc.Controller
-	issueVT int64
 }
 
 // issueChunkInto starts acquiring a pin on chunk ci without blocking:
@@ -105,19 +95,6 @@ func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, f
 	ctx.Clock.AdvanceTo(resp.VT)
 	ctx.RecycleToken(r.tok)
 	r.tok = nil
-	if r.ctrl != nil {
-		// Feed the completed round trip to the destination's controller:
-		// the sample carries both the queueing delay (resp.VT - issueVT)
-		// and the fabric's go-back-N share (resp.RetransNs).
-		ev := r.ctrl.OnAck(resp.VT, resp.VT-r.issueVT, resp.RetransNs)
-		if ev != cc.EvGrow {
-			a.Metrics.CCBackoffs.Add(1)
-		}
-		if a.telOn() {
-			a.ccCwnd.Observe(int64(r.ctrl.Window(a.pipeline)))
-			a.ccSrtt.Observe(r.ctrl.SrttNs())
-		}
-	}
 	if resp.Val == 1 {
 		// The runtime took the reference on our behalf.
 		if a.telOn() {
@@ -129,17 +106,16 @@ func (a *Array) awaitChunk(ctx *cluster.Ctx, r *chunkReq, want uint8, op OpID, f
 }
 
 // pipeHook, when non-nil, observes every pipeline issue ('i') and await
-// ('a') in program order — test instrumentation locking the NoCC
-// schedule bit-for-bit to the fixed-depth behaviour. Set only from
-// single-threaded tests before any bulk call.
+// ('a') in program order — test instrumentation locking the fixed-depth
+// schedule bit-for-bit. Set only from single-threaded tests before any
+// bulk call.
 var pipeHook func(op byte, ci int64)
 
-// rangePipeline pins chunks [ciLo, ciHi] in order with up to depth
-// acquisitions outstanding — the adaptive congestion window when
-// control is active, the fixed a.pipeline otherwise — calling process
-// for each pinned chunk and unpinning it. The next acquisitions are
-// issued before the current chunk is processed, so the copy overlaps
-// the fetch. Stops early (without process) once the cluster fails.
+// rangePipeline pins chunks [ciLo, ciHi] in order with up to
+// a.pipeline acquisitions outstanding, calling process for each pinned
+// chunk and unpinning it. The next acquisitions are issued before the
+// current chunk is processed, so the copy overlaps the fetch. Stops
+// early (without process) once the cluster fails.
 func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op OpID, process func(p *Pin), tc trace.Ctx) {
 	var fn func(acc, operand uint64) uint64
 	if want == wantPinOperate {
@@ -153,65 +129,24 @@ func (a *Array) rangePipeline(ctx *cluster.Ctx, ciLo, ciHi int64, want uint8, op
 	// again by the time ci needs it, because completions are consumed in
 	// issue order and at most depth acquisitions are ever outstanding.
 	reqs := make([]chunkReq, depth)
-	adaptive := !a.ccOff && ctx.CCOn()
-	// infl[dst] counts this range's slow-path acquisitions in flight
-	// toward dst; the controller's window caps it per destination.
-	var infl []int64
-	if adaptive {
-		infl = make([]int64, ctx.Node.Cluster().Nodes())
-	}
-	self := a.self()
 	next := ciLo
-	awaited := ciLo
-	// blockedVT, when >= 0, is the virtual time since which the window
-	// (not the ring) has withheld the next issue — surfaced as a "cc"
-	// stage span so the critical-path report separates pacing from wire.
-	blockedVT := int64(-1)
-	issue := func() {
+	issue := func(awaited int64) {
 		for next <= ciHi && next-awaited < depth {
-			dst := a.homeOfChunk(next)
-			var ctrl *cc.Controller
-			if adaptive && dst != self {
-				ctrl = ctx.CC(dst)
-				if infl[dst] >= int64(ctrl.Window(a.pipeline)) {
-					if blockedVT < 0 {
-						blockedVT = ctx.Clock.Now()
-					}
-					return // window full toward dst; issue stays in order
-				}
-			}
-			if blockedVT >= 0 {
-				if tc.Valid() && a.traceOn() {
-					a.child(tc, self, trace.StageCC, "cwnd-wait", next, blockedVT, ctx.Clock.Now())
-				}
-				blockedVT = -1
-			}
-			r := &reqs[(next-ciLo)%depth]
 			if pipeHook != nil {
 				pipeHook('i', next)
 			}
-			a.issueChunkInto(ctx, r, next, want, op, fn, tc)
-			if r.tok != nil && ctrl != nil {
-				r.ctrl = ctrl
-				r.issueVT = ctx.Clock.Now()
-				infl[dst]++
-			}
+			a.issueChunkInto(ctx, &reqs[(next-ciLo)%depth], next, want, op, fn, tc)
 			next++
 		}
 	}
-	issue()
+	issue(ciLo)
 	for ci := ciLo; ci <= ciHi; ci++ {
 		r := &reqs[(ci-ciLo)%depth]
-		ctrl := r.ctrl
 		if pipeHook != nil {
 			pipeHook('a', ci)
 		}
 		p := a.awaitChunk(ctx, r, want, op, fn, tc)
-		awaited++
-		if ctrl != nil {
-			infl[a.homeOfChunk(ci)]--
-		}
-		issue()
+		issue(ci + 1)
 		if p == nil {
 			return // cluster failed; remaining tokens die with it
 		}
@@ -263,7 +198,7 @@ func (a *Array) speculate(ctx *cluster.Ctx, ci int64) {
 	if dst == a.self() {
 		return
 	}
-	if a.spareCredit(ctx, dst) < 1 {
+	if a.spareCredit(ctx) < 1 {
 		a.Metrics.PrefetchThrottled.Add(1)
 		return // demand traffic already owns the window
 	}
@@ -277,19 +212,12 @@ func (a *Array) speculate(ctx *cluster.Ctx, ci int64) {
 	})
 }
 
-// spareCredit returns how many speculative issues toward dst the
-// issuing thread's window has room for beyond its in-flight demand
-// requests: window(dst) - demand. Under NoCC the window is the fixed
-// pipeline depth, so prefetch still yields to a saturated pipeline —
-// speculative traffic must never queue ahead of demand fetches.
-func (a *Array) spareCredit(ctx *cluster.Ctx, dst int) int64 {
-	win := int64(a.pipeline)
-	if !a.ccOff {
-		if c := ctx.CC(dst); c != nil {
-			win = int64(c.Window(a.pipeline))
-		}
-	}
-	return win - ctx.DemandInflight()
+// spareCredit returns how many speculative issues the issuing thread's
+// pipeline window has room for beyond its in-flight demand requests, so
+// prefetch yields to a saturated pipeline — speculative traffic must
+// never queue ahead of demand fetches.
+func (a *Array) spareCredit(ctx *cluster.Ctx) int64 {
+	return int64(a.pipeline) - ctx.DemandInflight()
 }
 
 // notePrefetchHit attributes a fast-path hit to a speculative fill.

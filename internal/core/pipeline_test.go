@@ -39,10 +39,9 @@ func captureSchedule(t *testing.T, cfg cluster.Config, nChunks int64) string {
 	return strings.Join(sched, " ")
 }
 
-// fixedSchedule is the static-knob pipeline schedule over n chunks at
-// depth K, exactly as the pre-CC implementation interleaved it: K
-// issues up front, then one issue immediately after each await until
-// the range is exhausted.
+// fixedSchedule is the fixed-depth pipeline schedule over n chunks at
+// depth K: K issues up front, then one issue immediately after each
+// await until the range is exhausted.
 func fixedSchedule(n, k int64) string {
 	if k > n {
 		k = n
@@ -62,78 +61,38 @@ func fixedSchedule(n, k int64) string {
 	return strings.Join(s, " ")
 }
 
-// TestNoCCScheduleBitIdentical locks the NoCC ablation to the fixed-
-// depth issue schedule the static knobs produced before congestion
-// control existed: depth issues up front, then strictly one issue per
-// completion. Any window gating leaking into the NoCC path breaks the
-// exact interleaving.
-func TestNoCCScheduleBitIdentical(t *testing.T) {
+// TestPipelineScheduleFixedDepth locks the bulk pipeline to its
+// fixed-depth issue schedule: depth issues up front, then strictly one
+// issue per completion. Any gating that withholds a ready issue breaks
+// the exact interleaving.
+func TestPipelineScheduleFixedDepth(t *testing.T) {
 	const chunks, depth = 16, 4
 	got := captureSchedule(t, cluster.Config{
 		RuntimeThreads: 1, CacheChunks: 64,
-		PipelineDepth: depth, PrefetchAhead: -1, NoCC: true,
+		PipelineDepth: depth, PrefetchAhead: -1,
 	}, chunks)
 	if want := fixedSchedule(chunks, depth); got != want {
-		t.Fatalf("NoCC schedule diverged from fixed-depth behaviour:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestAdaptiveSlowStartNarrowsBurst checks the tentpole's issue-side
-// effect: with congestion control active and a deep static knob, the
-// initial burst is the controller's initial window (4 chunks), not the
-// configured depth — the knob is a ceiling, not a setting.
-func TestAdaptiveSlowStartNarrowsBurst(t *testing.T) {
-	const chunks, depth = 16, 12
-	got := strings.Fields(captureSchedule(t, cluster.Config{
-		RuntimeThreads: 1, CacheChunks: 64,
-		PipelineDepth: depth, PrefetchAhead: -1,
-	}, chunks))
-	burst := 0
-	for _, ev := range got {
-		if ev[0] != 'i' {
-			break
-		}
-		burst++
-	}
-	if burst != 4 {
-		t.Fatalf("adaptive initial burst = %d issues, want the initial window 4 (schedule %v)", burst, got)
-	}
-	// The schedule still covers every chunk in order.
-	var issues, awaits int
-	for _, ev := range got {
-		switch ev[0] {
-		case 'i':
-			issues++
-		case 'a':
-			awaits++
-		}
-	}
-	if issues != chunks || awaits != chunks {
-		t.Fatalf("schedule covered %d issues / %d awaits, want %d each", issues, awaits, chunks)
+		t.Fatalf("schedule diverged from fixed-depth behaviour:\n got: %s\nwant: %s", got, want)
 	}
 }
 
 // TestPrefetchDemandCredit exercises the spare-credit cap: speculation
-// is refused once in-flight demand exhausts the window (even under
-// NoCC, where the window is the fixed depth), and allowed again when
-// demand drains.
+// is refused once in-flight demand exhausts the pipeline depth, and
+// allowed again when demand drains.
 func TestPrefetchDemandCredit(t *testing.T) {
-	c := tc(t, 2, func(cfg *cluster.Config) {
-		cfg.PipelineDepth = 4
-		cfg.NoCC = true
-	})
+	c := tc(t, 2, func(cfg *cluster.Config) { cfg.PipelineDepth = 4 })
 	c.Run(func(n *cluster.Node) {
 		a := New(n, 2*64*8)
 		ctx := n.NewCtx(0)
 		c.Barrier(ctx)
 		if n.ID() == 1 {
-			if got := a.spareCredit(ctx, 0); got != 4 {
+			if got := a.spareCredit(ctx); got != 4 {
 				t.Errorf("idle spare credit = %d, want the fixed depth 4", got)
 			}
 			for i := 0; i < 4; i++ {
 				ctx.DemandStart()
 			}
-			if got := a.spareCredit(ctx, 0); got != 0 {
+			if got := a.spareCredit(ctx); got != 0 {
 				t.Errorf("saturated spare credit = %d, want 0", got)
 			}
 			before := a.Metrics.PrefetchThrottled.Load()
@@ -158,27 +117,9 @@ func TestPrefetchDemandCredit(t *testing.T) {
 	})
 }
 
-// TestAdaptivePrefetchCreditTracksWindow checks the adaptive half of
-// the credit: a fresh controller's window (initial window 4) bounds
-// speculation even when the static depth is larger.
-func TestAdaptivePrefetchCreditTracksWindow(t *testing.T) {
-	c := tc(t, 2, func(cfg *cluster.Config) { cfg.PipelineDepth = 16 })
-	c.Run(func(n *cluster.Node) {
-		a := New(n, 2*64*8)
-		ctx := n.NewCtx(0)
-		c.Barrier(ctx)
-		if n.ID() == 1 {
-			if got := a.spareCredit(ctx, 0); got != 4 {
-				t.Errorf("fresh adaptive spare credit = %d, want initial window 4", got)
-			}
-		}
-		c.Barrier(ctx)
-	})
-}
-
 // TestAdaptiveBulkCorrectness streams SetRange/GetRange across node
-// boundaries with congestion control active and a small cache, checking
-// the adaptive schedule never corrupts data or leaks pins.
+// boundaries through the bulk pipeline with prefetch on and a small
+// cache, checking the schedule never corrupts data or leaks pins.
 func TestAdaptiveBulkCorrectness(t *testing.T) {
 	c := tc(t, 3, func(cfg *cluster.Config) { cfg.CacheChunks = 16 })
 	var handle *Array

@@ -195,14 +195,11 @@ func (a *Array) respond(rt *cluster.Runtime, d *dentry, w *waiter, vt int64) {
 	}
 	tok, ctx := w.tok, w.ctx
 	a.putWaiter(w) // every slow-path waiter is released exactly here
-	// d.retrans is non-zero only while a remote grant whose delivery
-	// needed go-back-N recovery completes its waiters: the loss signal
-	// the requester's congestion controller reacts to.
 	if tok != nil {
-		tok.Complete(cluster.Resp{VT: vt, Val: val, RetransNs: d.retrans})
+		tok.Complete(cluster.Resp{VT: vt, Val: val})
 		return
 	}
-	ctx.Complete(cluster.Resp{VT: vt, Val: val, RetransNs: d.retrans})
+	ctx.Complete(cluster.Resp{VT: vt, Val: val})
 }
 
 func maxi64(a, b int64) int64 {

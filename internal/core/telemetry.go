@@ -100,7 +100,6 @@ func (a *Array) collectMetrics(emit telemetry.Emit) {
 		{"core/prefetch/hits", &m.PrefetchHits},
 		{"core/prefetch/wasted", &m.PrefetchWasted},
 		{"core/prefetch/throttled", &m.PrefetchThrottled},
-		{"core/cc/backoffs", &m.CCBackoffs},
 		{"core/cache/reclaim_sweeps", &m.ReclaimSweeps},
 		{"core/cache/reclaim_scanned", &m.ReclaimScanned},
 		{"core/cache/delay_stalls", &m.DelayStalls},
@@ -127,20 +126,5 @@ func (a *Array) collectMetrics(emit telemetry.Emit) {
 	}
 	for t := Transition(0); t < NumTransitions; t++ {
 		emit(counterMetric("core/coherence/"+t.String(), node, &m.Transitions[t]))
-	}
-	for _, h := range []struct {
-		name string
-		h    *telemetry.Histogram
-	}{
-		{"core/cc/cwnd", &a.ccCwnd},
-		{"core/cc/srtt", &a.ccSrtt},
-	} {
-		d := h.h.Data()
-		if d.Count == 0 {
-			continue
-		}
-		per := make([]int64, node+1)
-		per[node] = d.Count
-		emit(telemetry.Metric{Name: h.name, Kind: telemetry.KindHistogram, PerNode: per, Hist: d})
 	}
 }

@@ -284,11 +284,6 @@ type Endpoint struct {
 	txLastVT []int64 // last arrival VT per destination (in-order clamp)
 	rxSeq    []uint32
 
-	// postRetrans counts posts since the last TakeRetransSignal whose
-	// delivery needed go-back-N recovery. Tx-goroutine-only, like txSeq:
-	// the adaptive doorbell budget reads it between bursts.
-	postRetrans int64
-
 	// linkBytes[dst] is the byte-size distribution of messages sent on
 	// the (this endpoint -> dst) link.
 	linkBytes []telemetry.Histogram
@@ -303,15 +298,6 @@ type Endpoint struct {
 
 // ID returns the node id of this endpoint.
 func (e *Endpoint) ID() int { return e.id }
-
-// TakeRetransSignal reports whether any post since the previous call
-// needed go-back-N recovery, and clears the signal. Like Post, it must
-// only be called from the node's single Tx goroutine.
-func (e *Endpoint) TakeRetransSignal() bool {
-	hit := e.postRetrans > 0
-	e.postRetrans = 0
-	return hit
-}
 
 // Stats exposes the endpoint's traffic counters.
 func (e *Endpoint) Stats() *Counters { return &e.stats }
@@ -372,9 +358,6 @@ func (e *Endpoint) Post(m *Message) error {
 		// go-back-N resends, stall windows, in-order clamping — is
 		// retransmission-layer delay for latency attribution.
 		m.RetransNs = m.VT - faultFree
-		if m.RetransNs > 0 {
-			e.postRetrans++
-		}
 	}
 	e.stats.MsgsSent.Add(1)
 	e.stats.BytesSent.Add(int64(m.Bytes()))

@@ -58,11 +58,10 @@ const (
 	// against the authoritative backing at the chunk's home, and the
 	// requester-side submission that routed it there.
 	StageShip
-	// StageCC is time a bulk pipeline spent blocked on its congestion
-	// window: the next chunk was ready to issue but the adaptive
-	// controller's cwnd was full. Distinct from StageQueue so the
-	// critical-path report separates self-imposed pacing from fabric
-	// queueing.
+	// StageCC is bulk-pipeline pacing time. No layer emits it: the
+	// pipeline runs a fixed window and never withholds a ready issue.
+	// It stays so stage numbers and names, which analyzers key on, do
+	// not shift.
 	StageCC
 
 	numStages
